@@ -20,6 +20,7 @@ tolerance.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, ConvergenceError, DomainError
-from .markets import BinomialParams, CompleteMarket
+from .markets import BINOMIAL_OUTCOMES, BinomialParams, CompleteMarket
 from .measures import Anticipation
+from .roots import decreasing_root
 from .utility import LOG, POWER, Utility
 
 
@@ -107,7 +109,8 @@ def solve_lambda(
     method="closed" uses the per-family closed form; method="bracket" runs
     the generic route: exponential scan from lam = 1 by factors of 10 until
     the (strictly decreasing) budget map straddles v, bisection until the
-    bracket's relative width is below `tol`, then one Newton polish.
+    bracket's relative width is below `tol`, then one Newton polish.  A
+    bracket that fails raises `ConvergenceError` with its history.
     """
     violations = params.arbitrage_violations()
     if violations:
@@ -119,37 +122,7 @@ def solve_lambda(
 
     v = float(params.v)
     f = lambda lam: budget_map(lam, params, utility, nu) - v
-    lo = hi = 1.0
-    f1 = f(1.0)
-    if f1 > 0:  # budget too large, need bigger lam
-        for _ in range(600):
-            hi *= 10.0
-            if f(hi) <= 0:
-                break
-        else:
-            raise ConvergenceError(
-                "bracketing failed: budget map stays above v on [1, %g]" % hi
-            )
-        lo = hi / 10.0
-    elif f1 < 0:
-        for _ in range(600):
-            lo /= 10.0
-            if f(lo) >= 0:
-                break
-        else:
-            raise ConvergenceError(
-                "bracketing failed: budget map stays below v on [%g, 1]" % lo
-            )
-        hi = lo * 10.0
-    else:
-        return 1.0
-    while (hi - lo) > tol * lo:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
+    lam = decreasing_root(f, tol)
     # one Newton polish on the smooth strictly monotone budget map
     rn = terminal_risk_neutral(params)
     z = state_price_ratio(params, nu)
@@ -185,19 +158,22 @@ def optimal_wealth_process(terminal_wealth, params: BinomialParams) -> list[np.n
     return levels
 
 
+def _level_prices(params: BinomialParams, n: int) -> np.ndarray:
+    """Float stock prices at the nodes (n, 0..n)."""
+    s, h, k = float(params.s), float(params.h), float(params.k)
+    return np.array([s * (1 + h) ** (n - i) * (1 - k) ** i for i in range(n + 1)])
+
+
 def replicate_portfolio(wealth: list[np.ndarray], params: BinomialParams) -> list[np.ndarray]:
     """Risky-asset units per node: difference quotient over the two successors.
 
     The residual wealth sits in the risk-free asset, which makes the
     strategy self-financing; `simulate_strategy` replays it forward.
     """
-    s, h, k = float(params.s), float(params.h), float(params.k)
     deltas = []
     for n in range(params.n_periods):
         nxt = wealth[n + 1]
-        prices_next = np.array(
-            [s * (1 + h) ** (n + 1 - i) * (1 - k) ** i for i in range(n + 2)]
-        )
+        prices_next = _level_prices(params, n + 1)
         deltas.append((nxt[:-1] - nxt[1:]) / (prices_next[:-1] - prices_next[1:]))
     return deltas
 
@@ -206,25 +182,25 @@ def simulate_strategy(params: BinomialParams, deltas, v0: float | None = None):
     """Forward wealth of a self-financing strategy along every path.
 
     deltas[n][i] are risky units held at node (n, i); the remainder earns r.
-    Returns {path: terminal wealth}.
-    """
-    s, h, k, rho = (float(x) for x in (params.s, params.h, params.k, params.rho))
-    out = {}
-    import itertools
+    Returns {path: terminal wealth} with paths in u<d lexicographic order.
 
-    for tup in itertools.product("ud", repeat=params.n_periods):
-        wealth = float(params.v) if v0 is None else v0
-        i = 0
-        for n, step in enumerate(tup):
-            price_now = s * (1 + h) ** (n - i) * (1 - k) ** i
-            d = deltas[n][i]
-            bond = (wealth - d * price_now) * rho
-            if step == "d":
-                i += 1
-            price_next = s * (1 + h) ** (n + 1 - i) * (1 - k) ** i
-            wealth = bond + d * price_next
-        out["".join(tup)] = wealth
-    return out
+    Each period is one array pass over every path at that depth.  A path's
+    index is its base-2 number (u=0, d=1, first step most significant), so
+    the wealth and down-count arrays double once per period.
+    """
+    rho = float(params.rho)
+    wealth = np.array([float(params.v) if v0 is None else v0], dtype=float)
+    downs = np.zeros(1, dtype=np.int64)
+    prices = _level_prices(params, 0)
+    for n in range(params.n_periods):
+        nxt = _level_prices(params, n + 1)
+        d = np.asarray(deltas[n], dtype=float)[downs]
+        bond = (wealth - d * prices[downs]) * rho
+        wealth = np.column_stack((bond + d * nxt[downs], bond + d * nxt[downs + 1])).ravel()
+        downs = np.column_stack((downs, downs + 1)).ravel()
+        prices = nxt
+    paths = ("".join(t) for t in itertools.product(BINOMIAL_OUTCOMES, repeat=params.n_periods))
+    return dict(zip(paths, wealth))
 
 
 @dataclass(frozen=True)
@@ -428,7 +404,9 @@ def sweep(
     """Value/extra-value/proportion curves over an initial-wealth grid.
 
     Rows are produced in deterministic (anticipation, v) order regardless of
-    thread count; per-row solver failures are tagged, not fatal.
+    thread count.  A row the library rejects (`AdmissibilityError`,
+    `DomainError`, `ConvergenceError`) is tagged, not fatal; any other
+    exception propagates.
     """
     jobs = [
         (name, float(v))
@@ -445,7 +423,8 @@ def sweep(
             )
             triple = value_of_information(p, utility, anticipations[name])
             return SweepRow(name, v, triple.value, triple.extra_value, triple.proportion)
-        except Exception as exc:  # row-tagged, run continues
+        except (AdmissibilityError, DomainError, ConvergenceError) as exc:
+            # a row the model rejects is tagged and the run continues
             return SweepRow(name, v, None, None, None, error=str(exc))
 
     if threads > 1:
@@ -517,27 +496,7 @@ def solve_complete_market(
     def budget(lam: float) -> float:
         return float(np.dot(rn_arr, disc * utility.inverse_marginal(lam * disc * z))) - v
 
-    lo = hi = 1.0
-    b1 = budget(1.0)
-    if b1 > 0:
-        for _ in range(600):
-            hi *= 10.0
-            if budget(hi) <= 0:
-                break
-        lo = hi / 10.0
-    elif b1 < 0:
-        for _ in range(600):
-            lo /= 10.0
-            if budget(lo) >= 0:
-                break
-        hi = lo * 10.0
-    while (hi - lo) > 1e-14 * lo:
-        mid = 0.5 * (lo + hi)
-        if budget(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
+    lam = decreasing_root(budget, 1e-14)
 
     terminal = utility.inverse_marginal(lam * disc * z)
     wealth: dict[tuple, float] = {

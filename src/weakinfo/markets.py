@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +41,19 @@ TRINOMIAL_OUTCOMES = "umd"
 def _require(cond: bool, message: str):
     if not cond:
         raise AdmissibilityError(message)
+
+
+def _is_exact(x) -> bool:
+    return isinstance(x, (int, Fraction))
+
+
+def _exact_dtype(values: Iterable):
+    """Array dtype that computes as plain Python would on these values.
+
+    object when any value is int/Fraction, so exact inputs stay exact in
+    array passes; float64 otherwise, which rounds as Python floats do.
+    """
+    return object if any(_is_exact(x) for x in values) else float
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError
-from .markets import BINOMIAL_OUTCOMES, BinomialParams
+from .markets import BINOMIAL_OUTCOMES, BinomialParams, _exact_dtype, _is_exact
 
 _SUM_TOL = 1e-12
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -108,6 +104,22 @@ class BinomialMeasureTree:
             if step == "d":
                 i += 1
         return prob if prob is not None else 1
+
+    def path_probabilities(self) -> tuple[np.ndarray, np.ndarray]:
+        """Probability and down-count of every path, in `paths()` order.
+
+        A path's index is its base-2 number (u=0, d=1, first step most
+        significant), so each period doubles both arrays in one pass.
+        Exact (int/Fraction) transitions give an object array of exact
+        products; float ones round exactly as `path_probability` does.
+        """
+        probs = np.ones(1, dtype=_exact_dtype(p for level in self.up for p in level))
+        downs = np.zeros(1, dtype=np.int64)
+        for level in self.up:
+            up = np.array(level, dtype=probs.dtype)[downs]
+            probs = np.column_stack((probs * up, probs * (1 - up))).ravel()
+            downs = np.column_stack((downs, downs + 1)).ravel()
+        return probs, downs
 
     def node_probabilities(self, n: int) -> list:
         """Distribution over nodes (n, i) induced by the transitions."""
@@ -249,44 +261,39 @@ def radon_nikodym(p: BinomialMeasureTree, q: BinomialMeasureTree) -> RadonNikody
     """
     if p.n_periods != q.n_periods:
         raise ValueError("measures live on different lattices")
-    ratios: dict = {}
-    zero_paths = []
-    expectation = 0
-    for path in p.paths():
-        pp = p.path_probability(path)
-        qq = q.path_probability(path)
-        if qq == 0:
-            zero_paths.append(path)
-            continue
-        ratios[path] = pp / qq
-        expectation = expectation + qq * (pp / qq)
-    if zero_paths:
+    paths = list(p.paths())
+    pp, downs = p.path_probabilities()
+    qq, _ = q.path_probabilities()
+    zero = np.flatnonzero(qq == 0)
+    if zero.size:
         raise DomainError(
-            "denominator measure vanishes on paths: %s" % ", ".join(zero_paths)
+            "denominator measure vanishes on paths: %s"
+            % ", ".join(paths[i] for i in zero)
         )
-    n = p.n_periods
-    by_terminal: dict[int, list] = {}
-    for path, val in ratios.items():
-        by_terminal.setdefault(path.count("d"), []).append(val)
-    measurable = True
-    terminal_vals = []
-    for i in range(n + 1):
-        vals = by_terminal[i]
-        ref = vals[0]
-        for val in vals[1:]:
-            if _is_exact(val) and _is_exact(ref):
-                same = val == ref
-            else:
-                scale = max(abs(float(ref)), 1e-300)
-                same = abs(float(val) - float(ref)) <= 1e-12 * scale
-            if not same:
-                measurable = False
-        terminal_vals.append(ref)
+    ratios = pp / qq
+    # each path is compared with the first path of its terminal node,
+    # u^(N-i) d^i, whose index is 2^i - 1
+    first = (1 << np.arange(p.n_periods + 1)) - 1
+    refs = ratios[first]
+    ref = refs[downs]
+    exact = np.zeros(len(ratios), dtype=bool)
+    if ratios.dtype == object:
+        is_exact = np.frompyfunc(_is_exact, 1, 1)
+        exact = (is_exact(ratios) & is_exact(ref)).astype(bool)
+    same = np.empty(len(ratios), dtype=bool)
+    same[exact] = ratios[exact] == ref[exact]
+    loose_val = ratios[~exact].astype(float)
+    loose_ref = ref[~exact].astype(float)
+    same[~exact] = np.abs(loose_val - loose_ref) <= 1e-12 * np.maximum(
+        np.abs(loose_ref), 1e-300
+    )
+    same[first] = True
+    measurable = bool(np.all(same))
     return RadonNikodym(
-        per_path=ratios,
+        per_path=dict(zip(paths, ratios.tolist())),
         terminal_measurable=measurable,
-        terminal_values=tuple(terminal_vals) if measurable else None,
-        expectation_under_denominator=float(expectation),
+        terminal_values=tuple(refs.tolist()) if measurable else None,
+        expectation_under_denominator=float(np.sum(qq * ratios)),
     )
 
 
@@ -334,19 +341,20 @@ def verify_minimality(
     if n > 12:
         raise ValueError("brute-force minimality check is meant for small lattices")
     phis = dict(test_functions or _DEFAULT_TEST_FUNCTIONS)
-    paths = list(base.paths())
-    base_probs = np.array([float(base.path_probability(p)) for p in paths])
-    downs = np.array([p.count("d") for p in paths])
+    base_probs, downs = base.path_probabilities()
+    base_probs = base_probs.astype(float)
+    n_paths = len(base_probs)
     terminal = np.array([float(x) for x in base.terminal_distribution()])
     nu_f = np.array([float(x) for x in nu.weights])
 
     groups = [np.flatnonzero(downs == i) for i in range(n + 1)]
     cond = base_probs / terminal[downs]  # bridge weights within each group
+    q_min = nu_f[downs] * cond  # the minimal measure itself
 
     rng = np.random.default_rng(seed)
     candidates = []
     for _ in range(n_samples):
-        q = np.empty(len(paths))
+        q = np.empty(n_paths)
         for i, idx in enumerate(groups):
             w = rng.dirichlet(np.ones(len(idx)))
             q[idx] = nu_f[i] * w
@@ -359,11 +367,10 @@ def verify_minimality(
         for combo in itertools.product(range(1, grid_points + 1), repeat=size):
             w = np.array(combo, dtype=float)
             w /= w.sum()
-            q = np.array([nu_f[downs[j]] * cond[j] for j in range(len(paths))])
+            q = q_min.copy()
             q[idx] = nu_f[i] * w
             candidates.append(q)
 
-    q_min = nu_f[downs] * cond  # the minimal measure itself
     report = MinimalityReport(n_samples=len(candidates))
     for name, phi in phis.items():
         target = float(np.dot(base_probs, phi(q_min / base_probs)))

@@ -32,7 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityError, ConvergenceError, DomainError
-from .markets import TRINOMIAL_MAX_PERIODS, TRINOMIAL_OUTCOMES, TrinomialParams
+from .markets import (
+    TRINOMIAL_MAX_PERIODS,
+    TRINOMIAL_OUTCOMES,
+    TrinomialParams,
+    _exact_dtype,
+)
+from .roots import decreasing_root
 from .utility import Utility
 
 _OUTCOME_INDEX = {"u": 0, "m": 1, "d": 2}
@@ -302,27 +308,7 @@ def _initial_scale(params, utility, nu, w, n) -> float:
     def f(mu):
         return float(np.dot(mean, disc * utility.inverse_marginal(mu * disc * ratio))) - params.v
 
-    lo = hi = 1.0
-    b = f(1.0)
-    if b > 0:
-        for _ in range(400):
-            hi *= 10.0
-            if f(hi) <= 0:
-                break
-        lo = hi / 10.0
-    elif b < 0:
-        for _ in range(400):
-            lo /= 10.0
-            if f(lo) >= 0:
-                break
-        hi = lo * 10.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return decreasing_root(f, np.finfo(float).eps)
 
 
 def solve_lambda_system(
@@ -454,6 +440,15 @@ class ReplicabilityReport:
     tolerance: float
 
 
+def _node_prices(params: TrinomialParams, dtype) -> list[np.ndarray]:
+    """Stock price at every node: one array per depth, in base-3 prefix order."""
+    mult = np.array(params.multipliers, dtype=dtype)
+    levels = [np.array([params.s], dtype=dtype)]
+    for _ in range(params.n_periods):
+        levels.append(np.outer(levels[-1], mult).ravel())
+    return levels
+
+
 def trinomial_wealth_and_delta(
     params: TrinomialParams,
     terminal_wealth,
@@ -467,47 +462,56 @@ def trinomial_wealth_and_delta(
     under the interior measure with mixing weight t.  Holdings at a node
     use the top/bottom difference quotient; replicability demands all
     three pairwise quotients agree to `rtol`, and a violation raises
-    `ReplicationError` naming the worst node.
+    `ReplicationError` naming the worst node: the first node, in
+    depth-then-lexicographic order, with the strictly largest gap (NaN
+    gaps never count).
 
     Returns (wealth, deltas, report) where both trees are dicts keyed by
-    path prefix strings ("" for the root).
+    path prefix strings ("" for the root): wealth deepest level first,
+    deltas root first, each level in u<m<d lexicographic order.  Each
+    level is one array pass; a prefix's index is its base-3 number.
     """
     n = params.n_periods
-    rho = params.rho
     pair = extremal_measures(params)
     q = np.array([float(x) for x in interior_measure(pair, t)])
     terminal = np.asarray(terminal_wealth, dtype=float)
     if terminal.shape != (3**n,):
         raise ValueError("terminal wealth must have 3^N entries")
 
+    # levels[d] holds the wealth of every depth-d node.  Each node's
+    # expectation is a stacked (1x3)@(3,) product, which numpy evaluates as
+    # a length-3 dot that rounds exactly as np.dot; one (K,3)@(3,) product
+    # would go through BLAS gemv and round differently.
+    levels = [terminal]
+    for _ in range(n):
+        levels.insert(0, (levels[0].reshape(-1, 1, 3) @ q)[:, 0] / float(params.rho))
+    prefixes = [path_strings(depth) for depth in range(n + 1)]
     wealth: dict[str, float] = {}
-    for path, value in zip(path_strings(n), terminal):
-        wealth[path] = float(value)
-    for depth in range(n - 1, -1, -1):
-        for prefix in path_strings(depth):
-            children = [wealth[prefix + o] for o in TRINOMIAL_OUTCOMES]
-            wealth[prefix] = float(np.dot(q, children) / rho)
+    for depth in range(n, -1, -1):
+        wealth.update(zip(prefixes[depth], levels[depth].tolist()))
 
-    mult = {"u": params.a, "m": params.b, "d": params.c}
+    a, b, c = params.multipliers
+    prices = _node_prices(params, _exact_dtype((params.s, a, b, c)))
     deltas: dict[str, float] = {}
     worst_gap, worst_node = 0.0, ""
     for depth in range(n):
-        for prefix in path_strings(depth):
-            s_node = params.s
-            for step in prefix:
-                s_node *= mult[step]
-            vals = [wealth[prefix + o] for o in TRINOMIAL_OUTCOMES]
-            quotients = [
-                (vals[0] - vals[1]) / (s_node * (params.a - params.b)),
-                (vals[1] - vals[2]) / (s_node * (params.b - params.c)),
-                (vals[0] - vals[2]) / (s_node * (params.a - params.c)),
-            ]
-            spread = max(quotients) - min(quotients)
-            scale = max(1.0, abs(quotients[2]), abs(wealth[prefix]) / s_node)
-            gap = spread / scale
-            if gap > worst_gap:
-                worst_gap, worst_node = gap, prefix or "<root>"
-            deltas[prefix] = quotients[2]
+        s_node = prices[depth]
+        up, mid, down = levels[depth + 1].reshape(-1, 3).T
+        quotients = np.stack([
+            (up - mid) / (s_node * (a - b)).astype(float),
+            (mid - down) / (s_node * (b - c)).astype(float),
+            (up - down) / (s_node * (a - c)).astype(float),
+        ])
+        spread = np.fmax.reduce(quotients) - np.fmin.reduce(quotients)
+        scale = np.fmax(
+            np.fmax(1.0, np.abs(quotients[2])),
+            np.abs(levels[depth]) / s_node.astype(float),
+        )
+        gap = spread / scale
+        j = int(np.argmax(np.where(np.isnan(gap), -np.inf, gap)))
+        if gap[j] > worst_gap:
+            worst_gap, worst_node = float(gap[j]), prefixes[depth][j] or "<root>"
+        deltas.update(zip(prefixes[depth], quotients[2].tolist()))
     report = ReplicabilityReport(
         ok=worst_gap <= rtol, worst_node=worst_node, worst_gap=worst_gap, tolerance=rtol
     )
@@ -522,17 +526,19 @@ def trinomial_wealth_and_delta(
 def simulate_trinomial_strategy(
     params: TrinomialParams, deltas: dict[str, float], v0: float | None = None
 ) -> dict[str, float]:
-    """Forward self-financing wealth along every path given nodal holdings."""
-    mult = {"u": params.a, "m": params.b, "d": params.c}
+    """Forward self-financing wealth along every path given nodal holdings.
+
+    Steps forward one depth at a time over every node at that depth and
+    returns {path: wealth} in u<m<d lexicographic order.
+    """
+    v = params.v if v0 is None else v0
+    dtype = _exact_dtype((params.s, *params.multipliers, params.rho, v))
+    prices = _node_prices(params, dtype)
     rho = params.rho
-    out: dict[str, float] = {}
-    for path in path_strings(params.n_periods):
-        wealth = params.v if v0 is None else v0
-        s = params.s
-        for depth, step in enumerate(path):
-            d = deltas[path[:depth]]
-            bond = (wealth - d * s) * rho
-            s = s * mult[step]
-            wealth = bond + d * s
-        out[path] = wealth
-    return out
+    wealth = np.array([v], dtype=dtype)
+    for depth in range(params.n_periods):
+        d = np.array([deltas[p] for p in path_strings(depth)], dtype=dtype)
+        bond = (wealth - d * prices[depth]) * rho
+        children = prices[depth + 1].reshape(-1, 3)
+        wealth = (bond[:, None] + d[:, None] * children).ravel()
+    return dict(zip(path_strings(params.n_periods), wealth.tolist()))

@@ -4,14 +4,26 @@ These deliberately avoid the library's solution path: expected utilities are
 maximized directly over terminal claims (one-dimensional problems by grid
 search plus interval refinement, higher-dimensional ones by a generic
 constrained optimizer with analytic gradients), and strategies are simulated
-forward from raw holdings.
+forward from raw holdings.  The replay loops at the end are the scalar
+references for the library's per-period array passes.
 """
 from __future__ import annotations
+
+import itertools
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
 
+from weakinfo import DomainError, RadonNikodym
 from weakinfo.complete import terminal_risk_neutral
+from weakinfo.trinomial import (
+    ReplicabilityReport,
+    ReplicationError,
+    extremal_measures,
+    interior_measure,
+    path_strings,
+)
 
 
 def _grid_refine_line(objective, lo, hi, sweeps=6, points=2001):
@@ -99,3 +111,138 @@ def binomial_value_oracle(params, utility, nu):
         positive=utility.requires_positive_wealth, x0=x0,
     )
     return x, value
+
+
+# ---------------------------------------------------------------------------
+# per-path reference loops for the array replays
+# ---------------------------------------------------------------------------
+# One scalar step per path and period, in plain Python arithmetic, exactly
+# as the library computed these before its per-period array passes.
+
+def simulate_strategy_loop(params, deltas, v0=None):
+    """Binomial self-financing replay, one path at a time."""
+    s, h, k, rho = (float(x) for x in (params.s, params.h, params.k, params.rho))
+    out = {}
+    for tup in itertools.product("ud", repeat=params.n_periods):
+        wealth = float(params.v) if v0 is None else v0
+        i = 0
+        for n, step in enumerate(tup):
+            price_now = s * (1 + h) ** (n - i) * (1 - k) ** i
+            d = deltas[n][i]
+            bond = (wealth - d * price_now) * rho
+            if step == "d":
+                i += 1
+            price_next = s * (1 + h) ** (n + 1 - i) * (1 - k) ** i
+            wealth = bond + d * price_next
+        out["".join(tup)] = wealth
+    return out
+
+
+def _is_exact(x) -> bool:
+    return isinstance(x, (int, Fraction))
+
+
+def radon_nikodym_loop(p, q):
+    """P(path)/Q(path) path by path, with the terminal-measurability check."""
+    if p.n_periods != q.n_periods:
+        raise ValueError("measures live on different lattices")
+    ratios: dict = {}
+    zero_paths = []
+    expectation = 0
+    for path in p.paths():
+        pp = p.path_probability(path)
+        qq = q.path_probability(path)
+        if qq == 0:
+            zero_paths.append(path)
+            continue
+        ratios[path] = pp / qq
+        expectation = expectation + qq * (pp / qq)
+    if zero_paths:
+        raise DomainError(
+            "denominator measure vanishes on paths: %s" % ", ".join(zero_paths)
+        )
+    by_terminal: dict[int, list] = {}
+    for path, val in ratios.items():
+        by_terminal.setdefault(path.count("d"), []).append(val)
+    measurable = True
+    terminal_vals = []
+    for i in range(p.n_periods + 1):
+        vals = by_terminal[i]
+        ref = vals[0]
+        for val in vals[1:]:
+            if _is_exact(val) and _is_exact(ref):
+                same = val == ref
+            else:
+                scale = max(abs(float(ref)), 1e-300)
+                same = abs(float(val) - float(ref)) <= 1e-12 * scale
+            if not same:
+                measurable = False
+        terminal_vals.append(ref)
+    return RadonNikodym(
+        per_path=ratios,
+        terminal_measurable=measurable,
+        terminal_values=tuple(terminal_vals) if measurable else None,
+        expectation_under_denominator=float(expectation),
+    )
+
+
+def trinomial_wealth_and_delta_loop(params, terminal_wealth, *, t=0.5, rtol=1e-7):
+    """Trinomial wealth tree, holdings and replicability check, node by node."""
+    n = params.n_periods
+    rho = params.rho
+    pair = extremal_measures(params)
+    q = np.array([float(x) for x in interior_measure(pair, t)])
+    terminal = np.asarray(terminal_wealth, dtype=float)
+    wealth: dict[str, float] = {}
+    for path, value in zip(path_strings(n), terminal):
+        wealth[path] = float(value)
+    for depth in range(n - 1, -1, -1):
+        for prefix in path_strings(depth):
+            children = [wealth[prefix + o] for o in "umd"]
+            wealth[prefix] = float(np.dot(q, children) / rho)
+    mult = {"u": params.a, "m": params.b, "d": params.c}
+    deltas: dict[str, float] = {}
+    worst_gap, worst_node = 0.0, ""
+    for depth in range(n):
+        for prefix in path_strings(depth):
+            s_node = params.s
+            for step in prefix:
+                s_node *= mult[step]
+            vals = [wealth[prefix + o] for o in "umd"]
+            quotients = [
+                (vals[0] - vals[1]) / (s_node * (params.a - params.b)),
+                (vals[1] - vals[2]) / (s_node * (params.b - params.c)),
+                (vals[0] - vals[2]) / (s_node * (params.a - params.c)),
+            ]
+            spread = max(quotients) - min(quotients)
+            scale = max(1.0, abs(quotients[2]), abs(wealth[prefix]) / s_node)
+            gap = spread / scale
+            if gap > worst_gap:
+                worst_gap, worst_node = gap, prefix or "<root>"
+            deltas[prefix] = quotients[2]
+    report = ReplicabilityReport(
+        ok=worst_gap <= rtol, worst_node=worst_node, worst_gap=worst_gap, tolerance=rtol
+    )
+    if not report.ok:
+        raise ReplicationError(
+            "pairwise difference quotients disagree at node %r (gap %.3e > %g); "
+            "the claim is not replicable" % (worst_node, worst_gap, rtol)
+        )
+    return wealth, deltas, report
+
+
+def simulate_trinomial_strategy_loop(params, deltas, v0=None):
+    """Trinomial self-financing replay, one path at a time."""
+    mult = {"u": params.a, "m": params.b, "d": params.c}
+    rho = params.rho
+    out: dict[str, float] = {}
+    for path in path_strings(params.n_periods):
+        wealth = params.v if v0 is None else v0
+        s = params.s
+        for depth, step in enumerate(path):
+            d = deltas[path[:depth]]
+            bond = (wealth - d * s) * rho
+            s = s * mult[step]
+            wealth = bond + d * s
+        out[path] = wealth
+    return out

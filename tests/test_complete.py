@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from oracles import binomial_value_oracle
 from weakinfo import (
     BinomialParams,
     CompleteMarket,
+    ConvergenceError,
     DomainError,
     Utility,
     anticipation_presets,
@@ -21,6 +23,7 @@ from weakinfo import (
     value_of_information,
 )
 from weakinfo.complete import closed_form_lambda, terminal_risk_neutral
+from weakinfo.roots import decreasing_root
 
 UNIFORM4 = (0.25, 0.25, 0.25, 0.25)
 OPTIMIST4 = (0.2, 0.4, 0.3, 0.1)
@@ -57,6 +60,62 @@ def test_generic_solver_matches_closed_form(fig_market, utility):
     closed = solve_lambda(fig_market, utility, OPTIMIST4, method="closed")
     bracket = solve_lambda(fig_market, utility, OPTIMIST4, method="bracket")
     assert bracket == pytest.approx(closed, rel=1e-9)
+
+
+def _raised_within(seconds, fn, *args, **kwargs):
+    """Run fn on a daemon thread; return what it raised, failing on a hang."""
+    outcome = []
+
+    def target():
+        try:
+            fn(*args, **kwargs)
+        except Exception as exc:
+            outcome.append(exc)
+        else:
+            outcome.append(None)
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "%s did not return within %g s" % (fn.__name__, seconds)
+    return outcome[0]
+
+
+def _underflow_market(n_periods=3):
+    # exponential(10) at v=200: the true multiplier is about 1e-954, below
+    # the smallest double, so bisection stalls among subnormals
+    return BinomialParams(s=20, h=0.09, k=0.019, r=0.032, n_periods=n_periods, v=200)
+
+
+def test_bracket_with_unrepresentable_lambda_raises():
+    exc = _raised_within(
+        10, solve_lambda, _underflow_market(), Utility.exponential(10), (0.25,) * 4,
+        method="bracket",
+    )
+    assert isinstance(exc, ConvergenceError)
+    assert exc.history  # the (lo, hi) brackets it went through
+
+
+def test_general_market_with_unrepresentable_lambda_raises():
+    p = _underflow_market()
+    factors = [[[1 + p.r, 1 + p.h], [1 + p.r, 1 - p.k]]] * p.n_periods
+    market = CompleteMarket([1.0, p.s], factors, r=p.r, v=p.v)
+    nu = {leaf: 1 / 8 for leaf in market.leaves()}
+    exc = _raised_within(10, solve_complete_market, market, Utility.exponential(10), nu)
+    assert isinstance(exc, ConvergenceError)
+    assert exc.history
+
+
+@pytest.mark.parametrize("value", [1.0, -1.0, math.nan])
+def test_decreasing_root_raises_when_the_scan_never_straddles(value):
+    with pytest.raises(ConvergenceError) as info:
+        decreasing_root(lambda x: value, 1e-12)
+    assert info.value.history
+
+
+def test_decreasing_root_bisects_to_adjacent_doubles():
+    root = decreasing_root(lambda x: 3.0 - x, np.finfo(float).eps)
+    assert abs(root - 3.0) <= 3.0 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.01])
@@ -338,6 +397,12 @@ def test_sweep_tags_failing_rows(sweep_market):
     bad = [r for r in rows if r.error is not None]
     assert len(good) == 1 and len(bad) == 1
     assert bad[0].v == -5.0
+
+
+def test_sweep_propagates_non_model_errors(sweep_market):
+    # a malformed grid entry is a caller bug, not a row of data
+    with pytest.raises(TypeError):
+        sweep(sweep_market, Utility.log(), {"bad": (0.5, None)}, [100.0])
 
 
 def test_sweep_threaded_output_is_identical(sweep_market):
