@@ -286,6 +286,14 @@ class CompleteSolution:
         return worst
 
 
+def _budget_residual(root: float, v: float) -> float:
+    """|root wealth - v| / v; raises `ConvergenceError` above 1e-6."""
+    residual = abs(root - v) / v
+    if residual > 1e-6:
+        raise ConvergenceError("budget equation violated: root wealth %.12g vs v=%.12g" % (root, v))
+    return residual
+
+
 def solve(
     params: BinomialParams,
     utility: Utility,
@@ -305,12 +313,7 @@ def solve(
     u = float(np.dot(nu_arr, utility.evaluate(terminal)))
     v = float(params.v)
     riskfree_u = float(utility.evaluate(v * float(params.rho) ** params.n_periods))
-    residual = abs(float(wealth[0][0]) - v) / v
-    if residual > 1e-6:
-        raise ConvergenceError(
-            "budget equation violated: root wealth %.12g vs v=%.12g"
-            % (float(wealth[0][0]), v)
-        )
+    residual = _budget_residual(float(wealth[0][0]), v)
     prop = None if u == 0.0 else 1.0 - riskfree_u / u
     return CompleteSolution(
         params=params,
@@ -454,17 +457,18 @@ class GeneralSolution:
     proportion: float | None
 
 
-def leaf_measure(market: CompleteMarket) -> dict[tuple, float]:
-    """Risk-neutral probability of every leaf (product of node transitions)."""
-    probs: dict[tuple, float] = {(): 1.0}
+def _period_measures(market: CompleteMarket) -> tuple[list[np.ndarray], np.ndarray]:
+    """Checked weights of every period, and their products in `leaves()` order."""
+    qs, probs = [], np.ones(1)
     for n in range(market.n_periods):
-        nxt: dict[tuple, float] = {}
-        for node, mass in probs.items():
-            q = market.transition_probabilities(node)
-            for j in range(market.m_states):
-                nxt[node + (j,)] = mass * float(q[j])
-        probs = nxt
-    return probs
+        qs.append(market.period_measure(n, market.level_prices(n)))
+        probs = (probs[:, None] * qs[-1]).reshape(-1)
+    return qs, probs
+
+
+def leaf_measure(market: CompleteMarket) -> dict[tuple, float]:
+    """Risk-neutral probability of every leaf (product of period transitions)."""
+    return dict(zip(market.leaves(), _period_measures(market)[1].tolist()))
 
 
 def solve_complete_market(
@@ -474,10 +478,11 @@ def solve_complete_market(
 
     nu_leaves maps each leaf (state tuple) to its anticipated probability.
     Replication solves the full M x M system D delta = next-period wealth at
-    every node; holdings are reported per replication asset.
+    every node; holdings are reported per replication asset.  Each depth is
+    one array pass over its nodes in `nodes(n)` order, with one batched solve.
     """
     leaves = list(market.leaves())
-    rn = leaf_measure(market)
+    qs, rn_arr = _period_measures(market)
     nu_map = dict(nu_leaves)
     if set(nu_map) != set(leaves):
         raise ValueError("anticipation must cover exactly the terminal states")
@@ -487,7 +492,6 @@ def solve_complete_market(
     if any(w <= 0 for w in nu_map.values()):
         raise DomainError("anticipation must be strictly positive")
 
-    rn_arr = np.array([rn[leaf] for leaf in leaves])
     nu_arr = np.array([float(nu_map[leaf]) for leaf in leaves])
     z = rn_arr / nu_arr
     n, rho, v = market.n_periods, market.rho, market.v
@@ -498,29 +502,29 @@ def solve_complete_market(
 
     lam = decreasing_root(budget, 1e-14)
 
-    terminal = utility.inverse_marginal(lam * disc * z)
-    wealth: dict[tuple, float] = {
-        leaf: float(val) for leaf, val in zip(leaves, terminal)
-    }
+    terminal = np.asarray(utility.inverse_marginal(lam * disc * z), dtype=float)
+    wealth: dict[tuple, float] = dict(zip(leaves, terminal.tolist()))
     deltas: dict[tuple, np.ndarray] = {}
+    level = terminal
     for depth in range(n - 1, -1, -1):
-        for node in market.nodes(depth):
-            q = market.transition_probabilities(node)
-            child_wealth = np.array(
-                [wealth[node + (j,)] for j in range(market.m_states)]
-            )
-            wealth[node] = float(np.dot(q, child_wealth) / rho)
-            d_mat = market.price_matrix(node)
-            deltas[node] = np.linalg.solve(d_mat, child_wealth)
+        cols = market.replication_assets(depth)
+        children = level.reshape(-1, market.m_states)
+        level = (children[:, None, :] @ qs[depth])[:, 0] / rho
+        d_mat = market.factors[depth][None, :, cols] * market.level_prices(depth)[:, None, cols]
+        holdings = np.linalg.solve(d_mat, children[..., None])[..., 0]
+        nodes = list(market.nodes(depth))
+        wealth.update(zip(nodes, level.tolist()))
+        deltas.update(zip(nodes, holdings))
+    _budget_residual(wealth[()], v)
 
-    u = float(np.dot(nu_arr, utility.evaluate(np.asarray(terminal))))
+    u = float(np.dot(nu_arr, utility.evaluate(terminal)))
     riskfree_u = float(utility.evaluate(v * rho**n))
     prop = None if u == 0.0 else 1.0 - riskfree_u / u
     return GeneralSolution(
         market=market,
         utility=utility,
         lam=lam,
-        terminal_wealth={leaf: float(val) for leaf, val in zip(leaves, terminal)},
+        terminal_wealth=dict(zip(leaves, terminal.tolist())),
         wealth=wealth,
         deltas=deltas,
         value=u,

@@ -10,7 +10,8 @@ Three model classes are supported:
   (#up-moves, #middle-moves).
 * `CompleteMarket` -- a general M-state market given by per-period gross
   return matrices over d >= M assets (asset 0 risk-free).  States do not
-  recombine; nodes are state-index tuples.
+  recombine; nodes are state-index tuples.  No-arbitrage is checked per
+  period, over every node of the depth at once.
 
 Price equality at recombining nodes is structural (by index); prices are
 never compared in floating point to decide lattice topology.  Arithmetic is
@@ -216,6 +217,16 @@ class CompleteMarket:
             p = p * self.factors[n][j]
         return p
 
+    def level_prices(self, n: int) -> np.ndarray:
+        """Prices at every depth-n node, one row each in `nodes(n)` order.
+
+        Multiplies in `prices_at`'s order, so each row equals it bit for bit.
+        """
+        p = self.initial_prices[None, :]
+        for f in self.factors[:n]:
+            p = (p[:, None, :] * f[None]).reshape(-1, self.d_assets)
+        return p
+
     def price_matrix(self, node: tuple[int, ...]) -> np.ndarray:
         """M x M matrix of next-period prices of the M independent assets."""
         n = len(node)
@@ -227,34 +238,35 @@ class CompleteMarket:
         """Asset indices used in the period-n replication system."""
         return list(self._independent_cols[n])
 
-    def transition_probabilities(self, node: tuple[int, ...]) -> np.ndarray:
-        """One-period martingale state probabilities at a node.
+    def period_measure(self, n: int, prices: np.ndarray, nodes=None) -> np.ndarray:
+        """One-period martingale state probabilities of period n, one q per depth.
 
-        Solves D^T q = (1+r) s over the independent assets; completeness
-        makes the solution unique.  Raises on non-positive entries
-        (arbitrage) and checks that redundant assets are priced
-        consistently.
+        A node's prices are the initial prices times the factor rows on its
+        path, so D^T q = (1+r) s reduces to F_n^T q = (1+r) 1.  Raises on
+        non-positive q (arbitrage) or on redundant assets priced
+        inconsistently at a row of `prices`, naming the first such node of
+        `nodes` (default: `nodes(n)` order).
         """
-        n = len(node)
+        f = self.factors[n]
         cols = self._independent_cols[n]
-        prices = self.prices_at(node)
-        d_mat = self.price_matrix(node)
-        q = np.linalg.solve(d_mat.T, self.rho * prices[cols])
+        q = np.linalg.solve(f[:, cols].T, np.full(len(cols), self.rho))
+        implied = prices * (q @ f)
+        consistent = np.isclose(implied, self.rho * prices, rtol=1e-9, atol=1e-12).all(axis=1)
         if not np.all(q > 0):
-            raise AdmissibilityError(
-                "no strictly positive martingale measure at node %r" % (node,)
-            )
-        if abs(float(q.sum()) - 1.0) > 1e-9:
-            raise AdmissibilityError(
-                "martingale weights at node %r do not sum to one" % (node,)
-            )
-        full_next = self.factors[n] * prices
-        implied = q @ full_next
-        if not np.allclose(implied, self.rho * prices, rtol=1e-9, atol=1e-12):
-            raise AdmissibilityError(
-                "redundant assets priced inconsistently at node %r" % (node,)
-            )
-        return q
+            problem, row = "no strictly positive martingale measure at node %r", 0
+        elif abs(float(q.sum()) - 1.0) > 1e-9:
+            problem, row = "martingale weights at node %r do not sum to one", 0
+        elif not consistent.all():
+            problem = "redundant assets priced inconsistently at node %r"
+            row = int(np.argmin(consistent))
+        else:
+            return q
+        node = np.unravel_index(row, (self.m_states,) * n) if nodes is None else nodes[row]
+        raise AdmissibilityError(problem % (tuple(int(j) for j in node),))
+
+    def transition_probabilities(self, node: tuple[int, ...]) -> np.ndarray:
+        """`period_measure` of the node's period, checked at this node only."""
+        return self.period_measure(len(node), self.prices_at(node)[None], [node])
 
 
 class BinomialLattice:
@@ -381,21 +393,16 @@ def validate_no_arbitrage(model) -> NoArbitrageReport:
     """Report whether a strictly positive martingale measure exists.
 
     Binomial and trinomial models reduce to parameter inequalities; the
-    general market is checked constructively node by node.
+    general market is checked per period, over every node of the depth.
     """
     if isinstance(model, (BinomialParams, TrinomialParams)):
         violations = model.arbitrage_violations()
         return NoArbitrageReport(not violations, tuple(violations))
     if isinstance(model, CompleteMarket):
-        violations = []
-        for n in range(model.n_periods):
-            for node in model.nodes(n):
-                try:
-                    model.transition_probabilities(node)
-                except AdmissibilityError as exc:
-                    violations.append(str(exc))
-                    break
-            if violations:
-                break
-        return NoArbitrageReport(not violations, tuple(violations))
+        try:
+            for n in range(model.n_periods):
+                model.period_measure(n, model.level_prices(n))
+        except AdmissibilityError as exc:
+            return NoArbitrageReport(False, (str(exc),))
+        return NoArbitrageReport(True, ())
     raise TypeError("unsupported model type %r" % type(model).__name__)

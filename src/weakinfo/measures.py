@@ -85,7 +85,7 @@ class BinomialMeasureTree:
             if len(level) != n + 1:
                 raise ValueError("level %d must hold %d transition entries" % (n, n + 1))
             for p in level:
-                if p < 0 or p > 1:
+                if not 0 <= p <= 1:
                     raise ValueError("transition probability outside [0, 1]: %s" % (p,))
         self.n_periods = len(self.up)
 

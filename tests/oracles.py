@@ -4,8 +4,9 @@ These deliberately avoid the library's solution path: expected utilities are
 maximized directly over terminal claims (one-dimensional problems by grid
 search plus interval refinement, higher-dimensional ones by a generic
 constrained optimizer with analytic gradients), and strategies are simulated
-forward from raw holdings.  The replay loops at the end are the scalar
-references for the library's per-period array passes.
+forward from raw holdings.  The replay loops and the general-market
+per-node loops at the end are the scalar references for the library's
+per-period array passes.
 """
 from __future__ import annotations
 
@@ -15,8 +16,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
-from weakinfo import DomainError, RadonNikodym
+from weakinfo import AdmissibilityError, DomainError, NoArbitrageReport, RadonNikodym
 from weakinfo.complete import terminal_risk_neutral
+from weakinfo.roots import decreasing_root
 from weakinfo.trinomial import (
     ReplicabilityReport,
     ReplicationError,
@@ -246,3 +248,77 @@ def simulate_trinomial_strategy_loop(params, deltas, v0=None):
             wealth = bond + d * s
         out[path] = wealth
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-node reference loops for the general-market passes
+# ---------------------------------------------------------------------------
+# One M x M solve D^T q = (1+r) s per node and one replication solve per
+# node, exactly as the library computed the general market before its
+# per-period passes.
+
+def transition_probabilities_loop(market, node):
+    """Martingale weights at one node from that node's own price matrix."""
+    n = len(node)
+    cols = market.replication_assets(n)
+    prices = market.prices_at(node)
+    d_mat = market.factors[n][:, cols] * prices[cols]
+    q = np.linalg.solve(d_mat.T, market.rho * prices[cols])
+    if not np.all(q > 0):
+        raise AdmissibilityError("no strictly positive martingale measure at node %r" % (node,))
+    if abs(float(q.sum()) - 1.0) > 1e-9:
+        raise AdmissibilityError("martingale weights at node %r do not sum to one" % (node,))
+    implied = q @ (market.factors[n] * prices)
+    if not np.allclose(implied, market.rho * prices, rtol=1e-9, atol=1e-12):
+        raise AdmissibilityError("redundant assets priced inconsistently at node %r" % (node,))
+    return q
+
+
+def validate_no_arbitrage_loop(market):
+    """The first node, depth by depth, whose one-period measure fails."""
+    for n in range(market.n_periods):
+        for node in market.nodes(n):
+            try:
+                transition_probabilities_loop(market, node)
+            except AdmissibilityError as exc:
+                return NoArbitrageReport(False, (str(exc),))
+    return NoArbitrageReport(True, ())
+
+
+def leaf_measure_loop(market):
+    """Risk-neutral leaf probabilities as products of per-node transitions."""
+    probs = {(): 1.0}
+    for _ in range(market.n_periods):
+        nxt = {}
+        for node, mass in probs.items():
+            q = transition_probabilities_loop(market, node)
+            for j in range(market.m_states):
+                nxt[node + (j,)] = mass * float(q[j])
+        probs = nxt
+    return probs
+
+
+def solve_complete_market_loop(market, utility, nu_leaves):
+    """(lam, wealth, deltas) with one backward step and one solve per node."""
+    leaves = list(market.leaves())
+    rn = leaf_measure_loop(market)
+    rn_arr = np.array([rn[leaf] for leaf in leaves])
+    nu_arr = np.array([float(nu_leaves[leaf]) for leaf in leaves])
+    z = rn_arr / nu_arr
+    n, rho, v = market.n_periods, market.rho, market.v
+    disc = rho ** (-n)
+
+    def budget(lam):
+        return float(np.dot(rn_arr, disc * utility.inverse_marginal(lam * disc * z))) - v
+
+    lam = decreasing_root(budget, 1e-14)
+    terminal = utility.inverse_marginal(lam * disc * z)
+    wealth = {leaf: float(val) for leaf, val in zip(leaves, terminal)}
+    deltas = {}
+    for depth in range(n - 1, -1, -1):
+        for node in market.nodes(depth):
+            q = transition_probabilities_loop(market, node)
+            children = np.array([wealth[node + (j,)] for j in range(market.m_states)])
+            wealth[node] = float(np.dot(q, children) / rho)
+            deltas[node] = np.linalg.solve(market.price_matrix(node), children)
+    return lam, wealth, deltas

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import binomial_value_oracle
+from weakinfo import complete
 from weakinfo import (
     BinomialParams,
     CompleteMarket,
@@ -444,6 +445,17 @@ def test_general_market_three_states():
         assert cost == pytest.approx(sol.wealth[node], rel=1e-9)
     # risk-free dominance
     assert sol.value >= Utility.log().evaluate(100.0 * 1.05**2) - 1e-12
+
+
+def test_general_market_checks_the_budget(monkeypatch):
+    # log utility spends 1/lam, so doubling lam leaves the root at v/2
+    market = _toy_market()
+    leaves = list(market.leaves())
+    nu = {leaf: 1.0 / len(leaves) for leaf in leaves}
+    assert solve_complete_market(market, Utility.log(), nu).lam == pytest.approx(1 / 100.0)
+    monkeypatch.setattr(complete, "decreasing_root", lambda f, tol: 2 / 100.0)
+    with pytest.raises(ConvergenceError, match="budget equation violated: root wealth 50 vs v=100"):
+        solve_complete_market(market, Utility.log(), nu)
 
 
 def test_general_market_matches_binomial_specialization(fig_market):

@@ -8,6 +8,7 @@ import pytest
 from weakinfo import (
     AdmissibilityError,
     Anticipation,
+    BinomialMeasureTree,
     BinomialParams,
     DomainError,
     binomial_transition_formula,
@@ -159,6 +160,14 @@ def test_transition_formula_matches_minimal_measure_everywhere():
                 assert up == pytest.approx(tree.up[time][i], abs=1e-10)
                 checked += 1
     assert checked > 100
+
+
+def test_measure_tree_rejects_nan_and_out_of_range_transitions():
+    for bad in (float("nan"), -0.1, 1.5, F(3, 2)):
+        with pytest.raises(ValueError, match=r"transition probability outside \[0, 1\]"):
+            BinomialMeasureTree([[0.5], [0.5, bad]])
+    for edge in (0, 1, 0.0, 1.0, F(0), F(1)):
+        assert BinomialMeasureTree([[edge]]).up == ((edge,),)
 
 
 # ---------------------------------------------------------------------------
