@@ -554,6 +554,7 @@ def cmd_trinomial(ctx: RunContext) -> int:
         "max_budget_residual": solution.max_residual,
         "residual_history": solution.residual_history,
         "iterations": solution.iterations,
+        "start": solution.start,
         "value": solution.value,
         "replicability": replic,
         "interior_t": t_mix,

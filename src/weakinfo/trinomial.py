@@ -19,6 +19,15 @@ Newton with an analytic Jacobian; all sums over the 3^N paths factor
 through per-period tensor contractions, so nothing of size 2^N * 3^N is
 ever materialized.
 
+Newton starts from a scalar multiple of a shape, calibrated on the budget
+under the shape's own mixture measure.  When nu is the product of its
+per-period marginals (to rtol 1e-9), the shape is the Kronecker product of
+the N one-period optima and the start is the solution: y is then a product
+over periods, so each budget factors into one-period budgets for log and
+power utility (I is multiplicative), and splits into a sum of them for
+exponential utility, whose one-period shape does not depend on v.  Any
+other nu starts from the uniform shape.
+
 The solved claim satisfies every budget equation, hence is attainable, and
 its wealth process / holdings follow from any fixed interior measure
 (t = 1/2 per period by default).  All three pairwise difference quotients
@@ -26,8 +35,9 @@ must then agree; the consistency check is enforced, not assumed.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -238,13 +248,16 @@ def lift_terminal_anticipation(
 # ---------------------------------------------------------------------------
 
 def _mode_contract(flat: np.ndarray, mat: np.ndarray, n_axes: int) -> np.ndarray:
-    """Apply `mat` along every axis of a flat tensor with n_axes equal axes."""
-    size_in = mat.shape[1]
-    t = flat.reshape((size_in,) * n_axes)
+    """Apply `mat` along every axis of a flat tensor with n_axes equal axes.
+
+    Each pass contracts the leading axis and appends the result as the
+    trailing one (the shuffle form of a Kronecker mat-vec), so after n_axes
+    passes the axes are back in order without a transposing copy.
+    """
+    t = flat
     for _ in range(n_axes):
-        t = np.tensordot(mat, t, axes=([1], [0]))
-        t = np.moveaxis(t, 0, -1)
-    return t.reshape(-1)
+        t = (t.reshape(mat.shape[1], -1).T @ mat.T).reshape(-1)
+    return t
 
 
 def _mixture_over_paths(lam: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
@@ -279,7 +292,8 @@ class TrinomialSolution:
     terminal_wealth: np.ndarray
     value: float
     residuals: np.ndarray
-    iterations: int
+    iterations: int  # top-level Newton steps, not those of the one-period starts
+    start: str  # "product" or "uniform", see _start_shape
     residual_history: list = field(default_factory=list)
 
     @property
@@ -299,9 +313,31 @@ def budget_residuals(
     return _aggregate_over_measures(f, w, n) - params.v
 
 
-def _initial_scale(params, utility, nu, w, n) -> float:
-    """Scalar multiplier calibrated on the mean product measure."""
-    mean = _mixture_over_paths(np.full(2**n, 1.0 / 2**n), w, n)
+def _start_shape(params, utility, nu, n, tol):
+    """Newton start shape and its name, "product" or "uniform".
+
+    The Kronecker product of the one-period optima when nu is the product
+    of its marginals (see the module docstring); else, and at N = 1, which
+    ends the recursion, the uniform shape.
+    """
+    uniform = np.full(2**n, 1.0 / 2**n)
+    if n < 2:
+        return uniform, "uniform"
+    cube = nu.reshape((3,) * n)
+    marginals = [cube.sum(axis=tuple(a for a in range(n) if a != t)) for t in range(n)]
+    if not np.allclose(functools.reduce(np.kron, marginals), nu, rtol=1e-9, atol=0):
+        return uniform, "uniform"
+    one_period = replace(params, n_periods=1)
+    shape = np.array([1.0])
+    for m in marginals:
+        lam = solve_lambda_system(one_period, utility, m / m.sum(), tol=tol).lam
+        shape = np.kron(shape, lam / lam.sum())
+    return shape, "product"
+
+
+def _initial_scale(params, utility, nu, w, n, shape) -> float:
+    """Scalar multiple of `shape` calibrated on its mixture measure."""
+    mean = _mixture_over_paths(shape, w, n)
     disc = params.rho ** (-n)
     ratio = mean / nu
 
@@ -334,7 +370,6 @@ def solve_lambda_system(
     pair = extremal_measures(params)
     w = pair.as_matrix()
     n = params.n_periods
-    n_measures = 2**n
     rho_n = params.rho**n
     disc = 1.0 / rho_n
     v = params.v
@@ -351,7 +386,8 @@ def solve_lambda_system(
     def dual(lam, y):
         return v * float(lam.sum()) + float(np.dot(nu, utility.conjugate(y)))
 
-    lam = np.full(n_measures, _initial_scale(params, utility, nu, w, n) / n_measures)
+    shape, start = _start_shape(params, utility, nu, n, tol)
+    lam = _initial_scale(params, utility, nu, w, n, shape) * shape
     _, y = split(lam)
     if np.any(y <= 0):
         raise ConvergenceError("initial multiplier scale left the dual domain")
@@ -371,6 +407,7 @@ def solve_lambda_system(
                 value=float(np.dot(nu, utility.evaluate(utility.inverse_marginal(y)))),
                 residuals=res,
                 iterations=iteration - 1,
+                start=start,
                 residual_history=history,
             )
         gmat = _gram_matrix(utility.inverse_marginal_prime(y) / nu, w, n)

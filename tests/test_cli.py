@@ -305,6 +305,7 @@ def test_trinomial_one_period_log(tmp_path):
     assert report["results"]["max_budget_residual"] <= 1e-8
     assert report["results"]["replicability"]["ok"] is True
     assert len(report["results"]["lambda"]) == 2
+    assert report["results"]["start"] == "uniform"
     paths = json.loads((out / "trinomial_paths.json").read_text())
     assert [r["path"] for r in paths] == ["u", "m", "d"]
     tree = json.loads((out / "trinomial_tree.json").read_text())
@@ -322,6 +323,8 @@ def test_trinomial_constant_fixture_zero_delta(tmp_path):
     }
     out = tmp_path / "out"
     assert main(["trinomial", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["start"] == "product"
     tree = json.loads((out / "trinomial_tree.json").read_text())
     assert all(abs(r["delta"]) < 1e-7 for r in tree)
 

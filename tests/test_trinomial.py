@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import maximize_terminal_claim
 from weakinfo import (
@@ -23,7 +25,13 @@ from weakinfo import (
     trinomial_wealth_and_delta,
     value_of_information,
 )
-from weakinfo.trinomial import ReplicationError, path_index, path_strings
+from weakinfo.trinomial import (
+    ReplicationError,
+    _mode_contract,
+    _start_shape,
+    path_index,
+    path_strings,
+)
 
 
 def _product_nu(params, rng):
@@ -361,3 +369,144 @@ def test_period_cap_is_enforced():
     big = TrinomialParams(s=10.0, a=1.2, b=1.05, c=0.9, r=0.0, n_periods=13, v=100.0)
     with pytest.raises(AdmissibilityError, match="capped"):
         solve_lambda_system(big, Utility.log(), np.full(3**13, 1.0 / 3**13))
+
+
+# ---------------------------------------------------------------------------
+# the Newton start on product anticipations
+# ---------------------------------------------------------------------------
+
+SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def tri_problems(draw, periods=st.integers(2, 6), wealth=(50.0, 500.0)):
+    """(params, utility, rng): an arbitrage-free market and a utility.
+
+    Markets are drawn as the benchmark draws them, with v in `wealth`.
+    Exponential risk aversion is drawn relative to v, so alpha * v lies in
+    [0.5, 5].
+    """
+    n = draw(periods)
+    family = draw(st.sampled_from(["log", "power-", "power+", "exponential"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = float(rng.uniform(0.0, 0.04))
+    a = 1 + r + float(rng.uniform(0.05, 0.3))
+    c = 1 + r - float(rng.uniform(0.05, 0.3))
+    b = c + float(rng.uniform(0.2, 0.8)) * (a - c)
+    v = float(rng.uniform(*wealth))
+    params = TrinomialParams(s=float(rng.uniform(5.0, 50.0)), a=a, b=b, c=c, r=r,
+                             n_periods=n, v=v)
+    utility = {
+        "log": Utility.log,
+        "power-": lambda: Utility.power(float(rng.uniform(-2.0, -0.2))),
+        "power+": lambda: Utility.power(float(rng.uniform(0.1, 0.9))),
+        "exponential": lambda: Utility.exponential(float(rng.uniform(0.5, 5.0)) / v),
+    }[family]()
+    return params, utility, rng
+
+
+@SETTINGS
+@given(tri_problems())
+def test_product_anticipation_starts_at_the_solution(problem):
+    params, utility, rng = problem
+    sol = solve_lambda_system(params, utility, _product_nu(params, rng))
+    assert sol.start == "product"
+    assert sol.iterations <= 1
+    assert sol.max_residual <= 1e-10 * max(1.0, params.v)
+
+
+@settings(SETTINGS, max_examples=20)
+@given(tri_problems(periods=st.integers(1, 2), wealth=(0.5, 5.0)))
+def test_small_product_solutions_match_direct_oracle(problem):
+    # SLSQP stops on absolute changes, so the oracle needs utility values
+    # of order one: power utility with gamma < 0 at v ~ 100 gives ~1e-5
+    params, utility, rng = problem
+    n = params.n_periods
+    nu = _product_nu(params, rng)
+    sol = solve_lambda_system(params, utility, nu)
+    assert sol.start == ("product" if n == 2 else "uniform")
+    pm = product_measures(extremal_measures(params), n)
+    x, value = maximize_terminal_claim(
+        pm.matrix() / params.rho**n, np.full(2**n, params.v), nu, utility,
+        positive=utility.requires_positive_wealth,
+        x0=np.full(3**n, params.v * params.rho**n),
+    )
+    assert sol.value == pytest.approx(value, abs=1e-6)
+    assert np.allclose(sol.terminal_wealth, x, rtol=1e-4)
+
+
+@SETTINGS
+@given(tri_problems(), st.sampled_from(["lift", "dirichlet", "nudged"]))
+def test_non_product_anticipations_start_uniform(problem, kind):
+    params, utility, rng = problem
+    n = params.n_periods
+    if kind == "lift":
+        nu = lift_terminal_anticipation(params, rng.dirichlet(np.full((n + 1) * (n + 2) // 2, 2.0)))
+    elif kind == "dirichlet":
+        nu = rng.dirichlet(np.full(3**n, 2.0))
+    else:
+        nu = _product_nu(params, rng)
+        nu[rng.integers(3**n)] *= 1 + 1e-6
+    nu = nu / nu.sum()
+    shape, start = _start_shape(params, utility, nu, n, 1e-10)
+    assert start == "uniform"
+    assert np.array_equal(shape, np.full(2**n, 1.0 / 2**n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mode_contractions_match_the_dense_product_matrix(n):
+    p = TrinomialParams(s=10.0, a=1.2, b=1.05, c=0.9, r=0.02, n_periods=n, v=100.0)
+    pair = extremal_measures(p)
+    w, dense = pair.as_matrix(), product_measures(pair, n).matrix()
+    rng = np.random.default_rng(n)
+    lam, f = rng.normal(size=2**n), rng.normal(size=3**n)
+    assert np.allclose(_mode_contract(lam, w.T, n), dense.T @ lam, rtol=1e-13, atol=1e-15)
+    assert np.allclose(_mode_contract(f, w, n), dense @ f, rtol=1e-13, atol=1e-15)
+
+
+# the inputs of two defects of the uniform Newton start, pinned in
+# perfbench/test_perfbench.py as strict xfails
+
+
+def test_steep_positive_gamma_power_product_solve_converges():
+    params = TrinomialParams(
+        s=14.89390333134288, a=1.2821280627033511, b=1.1074037317088719,
+        c=0.8621840884795523, r=0.027075782897435802, n_periods=10, v=375.3470924483915,
+    )
+    nu = product_path_anticipation(params, [
+        [0.049180114947399746, 0.14545432015454363, 0.8053655648980566],
+        [0.04986315582427095, 0.5463026675910292, 0.4038341765846999],
+        [0.7635302403407539, 0.04884359307751865, 0.1876261665817274],
+        [0.26076014998962505, 0.498208981729507, 0.241030868280868],
+        [0.6288290309270014, 0.056840828160847595, 0.314330140912151],
+        [0.5588287084618208, 0.3112679240269992, 0.12990336751117998],
+        [0.27032204852152514, 0.04876642071474537, 0.6809115307637297],
+        [0.6415631720622549, 0.22966135978131816, 0.12877546815642704],
+        [0.5069849860740354, 0.40469815160270595, 0.08831686232325861],
+        [0.8234225466198669, 0.07911598333390979, 0.0974614700462234],
+    ])
+    sol = solve_lambda_system(params, Utility.power(0.6469460711626689), nu)
+    assert sol.max_residual <= 1e-10 * max(1.0, params.v)
+
+
+def test_product_exponential_claim_replicates_at_nine_periods():
+    params = TrinomialParams(
+        s=9.632642618300247, a=1.0776891033415688, b=0.8295196412304219,
+        c=0.7503097012068212, r=0.016957077306040312, n_periods=9, v=56.37702371400742,
+    )
+    nu = product_path_anticipation(params, [
+        [0.3391793545673711, 0.304061797186508, 0.356758848246121],
+        [0.48782878459135454, 0.4629165738485884, 0.049254641560056975],
+        [0.15074905211408202, 0.04947395142022492, 0.799776996465693],
+        [0.18142274017038576, 0.6486692960437815, 0.16990796378583273],
+        [0.06298310173780415, 0.5104533445142964, 0.42656355374789956],
+        [0.4055102260426038, 0.31222262917002047, 0.28226714478737563],
+        [0.4967741376095068, 0.3130441941744344, 0.19018166821605884],
+        [0.30835736839964706, 0.3758627314897157, 0.3157799001106372],
+        [0.2776074295610889, 0.1524724769552587, 0.5699200934836525],
+    ])
+    sol = solve_lambda_system(params, Utility.exponential(0.05106631376045113), nu)
+    _, _, report = trinomial_wealth_and_delta(params, sol.terminal_wealth)
+    assert report.ok
