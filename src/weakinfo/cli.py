@@ -51,7 +51,7 @@ import numpy as np
 
 from . import complete, measures, trinomial
 from .errors import AdmissibilityError, ConfigError, ConvergenceError, DomainError
-from .markets import BinomialParams, TrinomialParams
+from .markets import BinomialParams, TrinomialParams, _exact_dtype
 from .utility import Utility
 
 SCHEMA_VERSION = 1
@@ -532,19 +532,13 @@ def cmd_trinomial(ctx: RunContext) -> int:
             params, solution.terminal_wealth, t=t_mix
         )
         replic = {"ok": True, "worst_node": report.worst_node, "worst_gap": report.worst_gap}
-        mult = {"u": params.a, "m": params.b, "d": params.c}
+        prices = trinomial._node_prices(params, _exact_dtype((params.s, *params.multipliers)))
         for depth in range(params.n_periods):
-            for prefix in trinomial.path_strings(depth):
-                price = params.s
-                for step in prefix:
-                    price *= mult[step]
-                node_rows.append({
-                    "node": prefix or "<root>",
-                    "time": depth,
-                    "price": price,
-                    "wealth": wealth[prefix],
-                    "delta": deltas[prefix],
-                })
+            columns = (prices[depth].tolist(), wealth.levels[depth].tolist(),
+                       deltas.levels[depth].tolist())
+            for prefix, price, w, d in zip(trinomial.path_strings(depth), *columns):
+                node_rows.append({"node": prefix or "<root>", "time": depth,
+                                  "price": price, "wealth": w, "delta": d})
     except trinomial.ReplicationError as exc:
         replic = {"ok": False, "detail": str(exc)}
 

@@ -20,7 +20,6 @@ tolerance.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, ConvergenceError, DomainError
-from .markets import BINOMIAL_OUTCOMES, BinomialParams, CompleteMarket
+from .markets import BINOMIAL_OUTCOMES, BinomialLattice, BinomialParams, CompleteMarket, LevelView
 from .measures import Anticipation
 from .roots import decreasing_root
 from .utility import LOG, POWER, Utility
@@ -158,22 +157,17 @@ def optimal_wealth_process(terminal_wealth, params: BinomialParams) -> list[np.n
     return levels
 
 
-def _level_prices(params: BinomialParams, n: int) -> np.ndarray:
-    """Float stock prices at the nodes (n, 0..n)."""
-    s, h, k = float(params.s), float(params.h), float(params.k)
-    return np.array([s * (1 + h) ** (n - i) * (1 - k) ** i for i in range(n + 1)])
-
-
 def replicate_portfolio(wealth: list[np.ndarray], params: BinomialParams) -> list[np.ndarray]:
     """Risky-asset units per node: difference quotient over the two successors.
 
     The residual wealth sits in the risk-free asset, which makes the
     strategy self-financing; `simulate_strategy` replays it forward.
     """
+    lattice = BinomialLattice(params)
     deltas = []
     for n in range(params.n_periods):
         nxt = wealth[n + 1]
-        prices_next = _level_prices(params, n + 1)
+        prices_next = np.array(lattice.level_prices(n + 1), dtype=float)
         deltas.append((nxt[:-1] - nxt[1:]) / (prices_next[:-1] - prices_next[1:]))
     return deltas
 
@@ -182,25 +176,26 @@ def simulate_strategy(params: BinomialParams, deltas, v0: float | None = None):
     """Forward wealth of a self-financing strategy along every path.
 
     deltas[n][i] are risky units held at node (n, i); the remainder earns r.
-    Returns {path: terminal wealth} with paths in u<d lexicographic order.
+    Returns a read-only {path: terminal wealth} `LevelView` with paths in
+    u<d lexicographic order and Python float values.
 
     Each period is one array pass over every path at that depth.  A path's
     index is its base-2 number (u=0, d=1, first step most significant), so
     the wealth and down-count arrays double once per period.
     """
+    lattice = BinomialLattice(params)
     rho = float(params.rho)
     wealth = np.array([float(params.v) if v0 is None else v0], dtype=float)
     downs = np.zeros(1, dtype=np.int64)
-    prices = _level_prices(params, 0)
+    prices = np.array(lattice.level_prices(0), dtype=float)
     for n in range(params.n_periods):
-        nxt = _level_prices(params, n + 1)
+        nxt = np.array(lattice.level_prices(n + 1), dtype=float)
         d = np.asarray(deltas[n], dtype=float)[downs]
         bond = (wealth - d * prices[downs]) * rho
         wealth = np.column_stack((bond + d * nxt[downs], bond + d * nxt[downs + 1])).ravel()
         downs = np.column_stack((downs, downs + 1)).ravel()
         prices = nxt
-    paths = ("".join(t) for t in itertools.product(BINOMIAL_OUTCOMES, repeat=params.n_periods))
-    return dict(zip(paths, wealth))
+    return LevelView({params.n_periods: wealth}, BINOMIAL_OUTCOMES)
 
 
 @dataclass(frozen=True)
@@ -444,14 +439,18 @@ def sweep(
 
 @dataclass
 class GeneralSolution:
-    """Solver output on a general complete market (leaves are the states)."""
+    """Solver output on a general complete market (leaves are the states).
+
+    The trees are read-only `LevelView`s keyed by state tuples; deltas map
+    a node to its row of holdings per replication asset.
+    """
 
     market: CompleteMarket
     utility: Utility
     lam: float
-    terminal_wealth: dict
-    wealth: dict
-    deltas: dict
+    terminal_wealth: LevelView
+    wealth: LevelView
+    deltas: LevelView
     value: float
     extra_value: float
     proportion: float | None
@@ -479,12 +478,17 @@ def solve_complete_market(
     nu_leaves maps each leaf (state tuple) to its anticipated probability.
     Replication solves the full M x M system D delta = next-period wealth at
     every node; holdings are reported per replication asset.  Each depth is
-    one array pass over its nodes in `nodes(n)` order, with one batched solve.
+    one array pass over its nodes in `nodes(n)` order, with one batched solve;
+    the trees are views over those per-depth arrays, from the deepest level up.
     """
-    leaves = list(market.leaves())
     qs, rn_arr = _period_measures(market)
     nu_map = dict(nu_leaves)
-    if set(nu_map) != set(leaves):
+    # every leaf has a weight and there are no more weights than leaves
+    try:
+        nu_arr = np.array([float(nu_map[leaf]) for leaf in market.leaves()])
+    except KeyError:
+        nu_arr = None
+    if nu_arr is None or len(nu_arr) != len(nu_map):
         raise ValueError("anticipation must cover exactly the terminal states")
     total = sum(nu_map.values())
     if abs(float(total) - 1.0) > 1e-9:
@@ -492,7 +496,6 @@ def solve_complete_market(
     if any(w <= 0 for w in nu_map.values()):
         raise DomainError("anticipation must be strictly positive")
 
-    nu_arr = np.array([float(nu_map[leaf]) for leaf in leaves])
     z = rn_arr / nu_arr
     n, rho, v = market.n_periods, market.rho, market.v
     disc = rho ** (-n)
@@ -503,19 +506,14 @@ def solve_complete_market(
     lam = decreasing_root(budget, 1e-14)
 
     terminal = np.asarray(utility.inverse_marginal(lam * disc * z), dtype=float)
-    wealth: dict[tuple, float] = dict(zip(leaves, terminal.tolist()))
-    deltas: dict[tuple, np.ndarray] = {}
-    level = terminal
+    wealth, deltas = {n: terminal}, {}
     for depth in range(n - 1, -1, -1):
         cols = market.replication_assets(depth)
-        children = level.reshape(-1, market.m_states)
-        level = (children[:, None, :] @ qs[depth])[:, 0] / rho
+        children = wealth[depth + 1].reshape(-1, market.m_states)
+        wealth[depth] = (children[:, None, :] @ qs[depth])[:, 0] / rho
         d_mat = market.factors[depth][None, :, cols] * market.level_prices(depth)[:, None, cols]
-        holdings = np.linalg.solve(d_mat, children[..., None])[..., 0]
-        nodes = list(market.nodes(depth))
-        wealth.update(zip(nodes, level.tolist()))
-        deltas.update(zip(nodes, holdings))
-    _budget_residual(wealth[()], v)
+        deltas[depth] = np.linalg.solve(d_mat, children[..., None])[..., 0]
+    _budget_residual(wealth[0].item(0), v)
 
     u = float(np.dot(nu_arr, utility.evaluate(terminal)))
     riskfree_u = float(utility.evaluate(v * rho**n))
@@ -524,9 +522,9 @@ def solve_complete_market(
         market=market,
         utility=utility,
         lam=lam,
-        terminal_wealth=dict(zip(leaves, terminal.tolist())),
-        wealth=wealth,
-        deltas=deltas,
+        terminal_wealth=LevelView({n: terminal}, market.m_states),
+        wealth=LevelView(wealth, market.m_states),
+        deltas=LevelView(deltas, market.m_states),
         value=u,
         extra_value=u - riskfree_u,
         proportion=prop,

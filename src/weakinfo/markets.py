@@ -20,6 +20,7 @@ kept in plain Python so `fractions.Fraction` inputs stay exact end to end.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -55,6 +56,43 @@ def _exact_dtype(values: Iterable):
     array passes; float64 otherwise, which rounds as Python floats do.
     """
     return object if any(_is_exact(x) for x in values) else float
+
+
+class LevelView(Mapping):
+    """Read-only view of per-depth arrays, keyed by node.
+
+    levels[d] holds one entry (a row when 2-D) per depth-d node, at the
+    node's base-k number, first step most significant.  Keys are strings
+    over `steps` ("ud", "umd") or, for an int M, tuples over range(M).  It
+    iterates the depths in `levels` order, each in index order.
+    """
+
+    def __init__(self, levels: dict, steps):
+        self.levels = levels
+        self._str = isinstance(steps, str)
+        self._digits = {s: i for i, s in enumerate(steps if self._str else range(steps))}
+
+    def __getitem__(self, key):
+        level = self.levels.get(len(key)) if isinstance(key, str if self._str else tuple) else None
+        if level is None:
+            raise KeyError(key)
+        idx = 0
+        for step in key:
+            if step not in self._digits:
+                raise KeyError(key)
+            idx = idx * len(self._digits) + self._digits[step]
+        return level[idx] if level.ndim > 1 else level.item(idx)
+
+    def __iter__(self):
+        for depth in self.levels:
+            paths = itertools.product(list(self._digits), repeat=depth)
+            yield from map("".join, paths) if self._str else paths
+
+    def __len__(self) -> int:
+        return sum(map(len, self.levels.values()))
+
+    def __repr__(self) -> str:
+        return "LevelView(%r)" % dict(self)
 
 
 @dataclass(frozen=True)

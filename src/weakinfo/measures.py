@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError
-from .markets import BINOMIAL_OUTCOMES, BinomialParams, _exact_dtype, _is_exact
+from .markets import BINOMIAL_OUTCOMES, BinomialParams, LevelView, _exact_dtype, _is_exact
 
 _SUM_TOL = 1e-12
 
@@ -242,7 +242,7 @@ def binomial_transition_formula(level_from_end: int, i: int, nu, *, n_periods: i
 class RadonNikodym:
     """Per-path ratio dP/dQ with terminal-measurability metadata."""
 
-    per_path: dict
+    per_path: LevelView
     terminal_measurable: bool
     terminal_values: tuple | None
     expectation_under_denominator: float
@@ -257,15 +257,16 @@ def radon_nikodym(p: BinomialMeasureTree, q: BinomialMeasureTree) -> RadonNikody
     Q must be strictly positive on every path; offending paths are named.
     The ratio is flagged terminal-measurable when it is constant across all
     paths sharing a terminal node (exact equality for rational inputs,
-    1e-12 relative otherwise).
+    1e-12 relative otherwise).  `per_path` is a read-only `LevelView` over
+    the ratio array, in `paths()` order.
     """
     if p.n_periods != q.n_periods:
         raise ValueError("measures live on different lattices")
-    paths = list(p.paths())
     pp, downs = p.path_probabilities()
     qq, _ = q.path_probabilities()
     zero = np.flatnonzero(qq == 0)
     if zero.size:
+        paths = list(p.paths())
         raise DomainError(
             "denominator measure vanishes on paths: %s"
             % ", ".join(paths[i] for i in zero)
@@ -290,7 +291,7 @@ def radon_nikodym(p: BinomialMeasureTree, q: BinomialMeasureTree) -> RadonNikody
     same[first] = True
     measurable = bool(np.all(same))
     return RadonNikodym(
-        per_path=dict(zip(paths, ratios.tolist())),
+        per_path=LevelView({p.n_periods: ratios}, BINOMIAL_OUTCOMES),
         terminal_measurable=measurable,
         terminal_values=tuple(refs.tolist()) if measurable else None,
         expectation_under_denominator=float(np.sum(qq * ratios)),

@@ -45,6 +45,7 @@ from .errors import AdmissibilityError, ConvergenceError, DomainError
 from .markets import (
     TRINOMIAL_MAX_PERIODS,
     TRINOMIAL_OUTCOMES,
+    LevelView,
     TrinomialParams,
     _exact_dtype,
 )
@@ -225,18 +226,21 @@ def lift_terminal_anticipation(
     lattice = TrinomialLattice(params)
     pair = extremal_measures(params)
     ref = np.array([float(x) for x in interior_measure(pair, t)])
-    paths = path_strings(params.n_periods)
-    ref_path = np.array(
-        [np.prod([ref[_OUTCOME_INDEX[s]] for s in p]) for p in paths]
-    )
     nu_terminal = [float(x) for x in nu_terminal]
     if len(nu_terminal) != lattice.n_terminal:
         raise ValueError(
             "terminal anticipation needs %d entries" % lattice.n_terminal
         )
-    term_idx = np.array(
-        [lattice.terminal_index(*lattice.path_terminal(p)) for p in paths]
-    )
+    # per-period passes in base-3 path order; a path with i ups and j middle
+    # moves ends at terminal_index(i, j) = i (N+1) - i (i-1) / 2 + j
+    n = params.n_periods
+    ref_path = np.ones(1)
+    ups = mids = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        ref_path = np.outer(ref_path, ref).ravel()
+        ups = np.add.outer(ups, [1, 0, 0]).ravel()
+        mids = np.add.outer(mids, [0, 1, 0]).ravel()
+    term_idx = ups * (n + 1) - ups * (ups - 1) // 2 + mids
     ref_term = np.zeros(lattice.n_terminal)
     np.add.at(ref_term, term_idx, ref_path)
     out = np.array(nu_terminal)[term_idx] * ref_path / ref_term[term_idx]
@@ -396,7 +400,7 @@ def solve_lambda_system(
     history = [float(np.max(np.abs(res)))]
     scale = max(1.0, abs(v))
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(max_iter + 1):
         if history[-1] <= tol * scale:
             return TrinomialSolution(
                 params=params,
@@ -406,10 +410,12 @@ def solve_lambda_system(
                 terminal_wealth=np.asarray(utility.inverse_marginal(y), dtype=float),
                 value=float(np.dot(nu, utility.evaluate(utility.inverse_marginal(y)))),
                 residuals=res,
-                iterations=iteration - 1,
+                iterations=iteration,
                 start=start,
                 residual_history=history,
             )
+        if iteration == max_iter:  # converged on none of the max_iter steps
+            break
         gmat = _gram_matrix(utility.inverse_marginal_prime(y) / nu, w, n)
         jac = disc**2 * gmat
         try:
@@ -503,15 +509,16 @@ def trinomial_wealth_and_delta(
     depth-then-lexicographic order, with the strictly largest gap (NaN
     gaps never count).
 
-    Returns (wealth, deltas, report) where both trees are dicts keyed by
-    path prefix strings ("" for the root): wealth deepest level first,
-    deltas root first, each level in u<m<d lexicographic order.  Each
-    level is one array pass; a prefix's index is its base-3 number.
+    Returns (wealth, deltas, report) where both trees are read-only
+    `LevelView`s keyed by path prefix strings ("" for the root): wealth
+    deepest level first, deltas root first, each level in u<m<d
+    lexicographic order.  Each level is one array pass; a prefix's index is
+    its base-3 number, and `.levels[depth]` holds the level's array.
     """
     n = params.n_periods
     pair = extremal_measures(params)
     q = np.array([float(x) for x in interior_measure(pair, t)])
-    terminal = np.asarray(terminal_wealth, dtype=float)
+    terminal = np.array(terminal_wealth, dtype=float)
     if terminal.shape != (3**n,):
         raise ValueError("terminal wealth must have 3^N entries")
 
@@ -519,18 +526,14 @@ def trinomial_wealth_and_delta(
     # expectation is a stacked (1x3)@(3,) product, which numpy evaluates as
     # a length-3 dot that rounds exactly as np.dot; one (K,3)@(3,) product
     # would go through BLAS gemv and round differently.
-    levels = [terminal]
-    for _ in range(n):
-        levels.insert(0, (levels[0].reshape(-1, 1, 3) @ q)[:, 0] / float(params.rho))
-    prefixes = [path_strings(depth) for depth in range(n + 1)]
-    wealth: dict[str, float] = {}
-    for depth in range(n, -1, -1):
-        wealth.update(zip(prefixes[depth], levels[depth].tolist()))
+    levels = {n: terminal}
+    for depth in range(n - 1, -1, -1):
+        levels[depth] = (levels[depth + 1].reshape(-1, 1, 3) @ q)[:, 0] / float(params.rho)
 
     a, b, c = params.multipliers
     prices = _node_prices(params, _exact_dtype((params.s, a, b, c)))
-    deltas: dict[str, float] = {}
-    worst_gap, worst_node = 0.0, ""
+    deltas = LevelView({}, TRINOMIAL_OUTCOMES)
+    worst_gap, worst = 0.0, None
     for depth in range(n):
         s_node = prices[depth]
         up, mid, down = levels[depth + 1].reshape(-1, 3).T
@@ -547,8 +550,9 @@ def trinomial_wealth_and_delta(
         gap = spread / scale
         j = int(np.argmax(np.where(np.isnan(gap), -np.inf, gap)))
         if gap[j] > worst_gap:
-            worst_gap, worst_node = float(gap[j]), prefixes[depth][j] or "<root>"
-        deltas.update(zip(prefixes[depth], quotients[2].tolist()))
+            worst_gap, worst = float(gap[j]), np.unravel_index(j, (3,) * depth)
+        deltas.levels[depth] = quotients[2].copy()
+    worst_node = "" if worst is None else "".join(TRINOMIAL_OUTCOMES[k] for k in worst) or "<root>"
     report = ReplicabilityReport(
         ok=worst_gap <= rtol, worst_node=worst_node, worst_gap=worst_gap, tolerance=rtol
     )
@@ -557,16 +561,17 @@ def trinomial_wealth_and_delta(
             "pairwise difference quotients disagree at node %r (gap %.3e > %g); "
             "the claim is not replicable" % (worst_node, worst_gap, rtol)
         )
-    return wealth, deltas, report
+    return LevelView(levels, TRINOMIAL_OUTCOMES), deltas, report
 
 
 def simulate_trinomial_strategy(
-    params: TrinomialParams, deltas: dict[str, float], v0: float | None = None
-) -> dict[str, float]:
+    params: TrinomialParams, deltas: LevelView | dict, v0: float | None = None
+) -> LevelView:
     """Forward self-financing wealth along every path given nodal holdings.
 
-    Steps forward one depth at a time over every node at that depth and
-    returns {path: wealth} in u<m<d lexicographic order.
+    Steps forward one depth at a time over every node at that depth, reading
+    a `LevelView`'s level arrays directly and a dict key by key, and
+    returns a {path: wealth} `LevelView` in u<m<d lexicographic order.
     """
     v = params.v if v0 is None else v0
     dtype = _exact_dtype((params.s, *params.multipliers, params.rho, v))
@@ -574,8 +579,10 @@ def simulate_trinomial_strategy(
     rho = params.rho
     wealth = np.array([v], dtype=dtype)
     for depth in range(params.n_periods):
-        d = np.array([deltas[p] for p in path_strings(depth)], dtype=dtype)
+        d = deltas.levels[depth] if isinstance(deltas, LevelView) else [
+            deltas[p] for p in path_strings(depth)]
+        d = np.array(d, dtype=dtype)
         bond = (wealth - d * prices[depth]) * rho
         children = prices[depth + 1].reshape(-1, 3)
         wealth = (bond[:, None] + d[:, None] * children).ravel()
-    return dict(zip(path_strings(params.n_periods), wealth.tolist()))
+    return LevelView({params.n_periods: wealth}, TRINOMIAL_OUTCOMES)

@@ -87,20 +87,29 @@ def maximize_terminal_claim(constraints, target, nu, utility, positive, x0=None)
     def neg_grad(x):
         return -nu * np.asarray(utility.marginal(x))
 
-    res = minimize(
-        neg_value,
-        x0,
-        jac=neg_grad,
-        method="SLSQP",
-        bounds=bounds,
-        constraints=[{
-            "type": "eq",
-            "fun": lambda x: constraints @ x - target,
-            "jac": lambda x: constraints,
-        }],
-        options={"maxiter": 2000, "ftol": 1e-14},
-    )
-    return res.x, value_at(res.x)
+    # SLSQP stops once a step changes the value by less than ftol, which on a
+    # flat optimum can leave small-probability entries a few percent short;
+    # restarting from its own answer until x stops moving reaches the optimum
+    x = np.asarray(x0, dtype=float)
+    for _ in range(10):
+        res = minimize(
+            neg_value,
+            x,
+            jac=neg_grad,
+            method="SLSQP",
+            bounds=bounds,
+            constraints=[{
+                "type": "eq",
+                "fun": lambda x: constraints @ x - target,
+                "jac": lambda x: constraints,
+            }],
+            options={"maxiter": 2000, "ftol": 1e-14},
+        )
+        moved = np.max(np.abs(res.x - x))
+        x = res.x
+        if moved <= 1e-12 * max(1.0, np.max(np.abs(x))):
+            break
+    return x, value_at(x)
 
 
 def binomial_value_oracle(params, utility, nu):
@@ -231,6 +240,20 @@ def trinomial_wealth_and_delta_loop(params, terminal_wealth, *, t=0.5, rtol=1e-7
             "the claim is not replicable" % (worst_node, worst_gap, rtol)
         )
     return wealth, deltas, report
+
+
+def lift_terminal_anticipation_loop(params, nu_terminal, t=0.5):
+    """Terminal-node law spread over paths, one path string at a time."""
+    from weakinfo.markets import TrinomialLattice
+
+    lattice = TrinomialLattice(params)
+    ref = dict(zip("umd", (float(x) for x in interior_measure(extremal_measures(params), t))))
+    paths = path_strings(params.n_periods)
+    ref_path = np.array([np.prod([ref[s] for s in p]) for p in paths])
+    term_idx = np.array([lattice.terminal_index(*lattice.path_terminal(p)) for p in paths])
+    ref_term = np.zeros(lattice.n_terminal)
+    np.add.at(ref_term, term_idx, ref_path)
+    return np.array([float(x) for x in nu_terminal])[term_idx] * ref_path / ref_term[term_idx]
 
 
 def simulate_trinomial_strategy_loop(params, deltas, v0=None):

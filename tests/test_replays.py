@@ -1,14 +1,18 @@
 """Per-period array passes against the per-path reference loops.
 
-`simulate_strategy`, `radon_nikodym`, `trinomial_wealth_and_delta` and
-`simulate_trinomial_strategy` replay every path one period at a time as
-array passes.  The loops in `oracles.py` walk one path and one step at a
-time in plain Python; both must give the same keys in the same order,
-values within 1e-12 relative (equal when exact), and the same errors.
+`simulate_strategy`, `radon_nikodym`, `trinomial_wealth_and_delta`,
+`simulate_trinomial_strategy` and `lift_terminal_anticipation` work one
+period at a time as array passes.  The loops in `oracles.py` walk one path
+and one step at a time in plain Python; both must give the same keys in
+the same order, values within 1e-12 relative (equal when exact), and the
+same errors.  The trees come back as read-only `LevelView`s over the
+per-depth arrays, which must behave as the oracles' dicts do.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Mapping
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    lift_terminal_anticipation_loop,
     radon_nikodym_loop,
     simulate_strategy_loop,
     simulate_trinomial_strategy_loop,
@@ -27,6 +32,7 @@ from weakinfo import (
     BinomialParams,
     DomainError,
     TrinomialParams,
+    lift_terminal_anticipation,
     minimal_measure,
     radon_nikodym,
     risk_neutral_binomial,
@@ -34,6 +40,7 @@ from weakinfo import (
     simulate_trinomial_strategy,
     trinomial_wealth_and_delta,
 )
+from weakinfo.markets import LevelView
 from weakinfo.trinomial import ReplicationError, path_strings
 
 SETTINGS = settings(
@@ -299,3 +306,103 @@ def test_radon_nikodym_compares_exact_ratios_exactly():
         BinomialMeasureTree([[0.5], [0.5, 0.5]]),
     )
     assert floats.terminal_measurable
+
+
+# ---------------------------------------------------------------------------
+# the read-only views
+# ---------------------------------------------------------------------------
+
+def _check_view(view, want: dict):
+    """A string-keyed LevelView against its per-path oracle dict."""
+    assert isinstance(view, LevelView) and isinstance(view, Mapping)
+    assert list(view) == list(want) and len(view) == len(want)
+    copy = dict(view)
+    _assert_same_dict(copy, want)
+    assert view == copy and copy == view
+    assert repr(view) == "LevelView(%r)" % copy
+    key = max(want, key=len)
+    assert key in view
+    changed = {**copy, key: "changed"}
+    assert view != changed and changed != view
+    for bad in ("u" * (len(key) + 1), "x" + key[1:], tuple(key), 0):
+        assert bad not in view
+        with pytest.raises(KeyError):
+            view[bad]
+    with pytest.raises(TypeError):
+        view[key] = 0
+    with pytest.raises(TypeError):
+        del view[key]
+
+
+@SETTINGS
+@given(params=binomial_params(), seed=st.integers(0, 2**32 - 1))
+def test_binomial_views_behave_as_the_oracle_dicts(params, seed):
+    rng = np.random.default_rng(seed)
+    deltas = [rng.normal(0.0, 20.0, n + 1) for n in range(params.n_periods)]
+    replay = simulate_strategy(params, deltas)
+    _check_view(replay, simulate_strategy_loop(params, deltas))
+    assert all(type(x) is float for x in replay.values())
+    base = risk_neutral_binomial(params)
+    nu = [1.0 / (params.n_periods + 1)] * (params.n_periods + 1)
+    tree = minimal_measure(base, nu)
+    _check_view(radon_nikodym(tree, base).per_path, radon_nikodym_loop(tree, base).per_path)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_trinomial_views_behave_as_the_oracle_dicts(exact):
+    @SETTINGS
+    @given(params=trinomial_params(exact=exact), seed=st.integers(0, 2**32 - 1))
+    def check(params, seed):
+        terminal = _replicable_claim(params, np.random.default_rng(seed))
+        wealth, deltas, _ = trinomial_wealth_and_delta(params, terminal, rtol=math.inf)
+        want_wealth, want_deltas, _ = trinomial_wealth_and_delta_loop(
+            params, terminal, rtol=math.inf
+        )
+        _check_view(wealth, want_wealth)
+        _check_view(deltas, want_deltas)
+        replay = simulate_trinomial_strategy(params, deltas)
+        _check_view(replay, simulate_trinomial_strategy_loop(params, deltas))
+        from_dict = simulate_trinomial_strategy(params, dict(deltas))
+        typed = lambda view: [(k, type(x), x) for k, x in view.items()]
+        assert typed(from_dict) == typed(replay)
+
+    check()
+
+
+@SETTINGS
+@given(m=st.integers(2, 4), depths=st.lists(st.integers(0, 4), min_size=1, max_size=3,
+                                            unique=True), width=st.integers(0, 3))
+def test_tuple_views_key_states_in_base_m(m, depths, width):
+    # width 0 gives scalar levels, otherwise rows of that many holdings
+    levels = {}
+    for depth in depths:
+        values = np.arange(m**depth * max(width, 1), dtype=float) + 10.0 * depth
+        levels[depth] = values.reshape(m**depth, width) if width else values
+    view = LevelView(levels, m)
+    want = {
+        node: levels[depth][i] if width else levels[depth].item(i)
+        for depth in depths
+        for i, node in enumerate(itertools.product(range(m), repeat=depth))
+    }
+    assert list(view) == list(want) and len(view) == len(want)
+    assert all(np.array_equal(view[node], value) for node, value in want.items())
+    if not width:
+        assert view == want and want == view
+    deepest = max(depths)
+    for bad in ((0,) * (deepest + 1), (m,) * max(deepest, 1), "0" * deepest, 0):
+        assert bad not in view
+        with pytest.raises(KeyError):
+            view[bad]
+    with pytest.raises(TypeError):
+        view[(0,) * deepest] = 0
+
+
+@SETTINGS
+@given(params=trinomial_params(), data=st.data())
+def test_lift_terminal_anticipation_matches_path_loop(params, data):
+    n_terminal = (params.n_periods + 1) * (params.n_periods + 2) // 2
+    raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n_terminal, max_size=n_terminal))
+    t = data.draw(st.floats(0.05, 0.95))
+    nu = [x / sum(raw) for x in raw]
+    got = lift_terminal_anticipation(params, nu, t)
+    assert got.tobytes() == lift_terminal_anticipation_loop(params, nu, t).tobytes()

@@ -11,6 +11,7 @@ from oracles import maximize_terminal_claim
 from weakinfo import (
     AdmissibilityError,
     BinomialParams,
+    ConvergenceError,
     TrinomialParams,
     Utility,
     budget_residuals,
@@ -363,6 +364,19 @@ def test_path_anticipation_validation(tri_market):
     bad[1] += 1 / 9
     with pytest.raises(Exception):
         solve_lambda_system(tri_market, Utility.log(), bad)
+
+
+def test_newton_converging_on_its_last_allowed_step_returns():
+    # the last step reaches the tolerance: the solve must not raise
+    params = TrinomialParams(s=20, a=1.2, b=1.01, c=0.85, r=0.02, n_periods=4, v=100)
+    nu = lift_terminal_anticipation(params, [1 / 15] * 15)
+    sol = solve_lambda_system(params, Utility.log(), nu)
+    assert sol.iterations > 0
+    capped = solve_lambda_system(params, Utility.log(), nu, max_iter=sol.iterations)
+    assert capped.iterations == sol.iterations
+    assert np.array_equal(capped.lam, sol.lam)
+    with pytest.raises(ConvergenceError, match="after %d iterations" % (sol.iterations - 1)):
+        solve_lambda_system(params, Utility.log(), nu, max_iter=sol.iterations - 1)
 
 
 def test_period_cap_is_enforced():
