@@ -42,16 +42,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
 from . import complete, measures, trinomial
 from .errors import AdmissibilityError, ConfigError, ConvergenceError, DomainError
-from .markets import BinomialParams, TrinomialParams, _exact_dtype
+from .markets import BinomialLattice, BinomialParams, TrinomialParams, _exact_dtype
 from .utility import Utility
 
 SCHEMA_VERSION = 1
@@ -67,6 +69,8 @@ PRESET_NAMES = ("precise", "uniform", "conservative", "risk-neutral")
 def _parse_number(value, path: str):
     if isinstance(value, bool):
         raise ConfigError("%s: expected a number, got a boolean" % path)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError("%s: expected a finite number, got %r" % (path, value))
     if isinstance(value, (int, float)):
         return value
     if isinstance(value, str):
@@ -127,20 +131,14 @@ def validate_config(raw) -> dict:
 
     model = _expect_dict(cfg["model"], "model")
     mtype = model.get("type")
-    if mtype == "binomial":
-        _expect_keys(model, "model", ("type", "s", "h", "k", "r", "periods", "v"))
-        out["model"] = {
-            "type": "binomial",
-            **{key: _parse_number(model[key], "model.%s" % key) for key in ("s", "h", "k", "r", "v")},
-        }
-    elif mtype == "trinomial":
-        _expect_keys(model, "model", ("type", "s", "a", "b", "c", "r", "periods", "v"))
-        out["model"] = {
-            "type": "trinomial",
-            **{key: _parse_number(model[key], "model.%s" % key) for key in ("s", "a", "b", "c", "r", "v")},
-        }
-    else:
+    if mtype not in ("binomial", "trinomial"):
         raise ConfigError("model.type: expected 'binomial' or 'trinomial', got %r" % (mtype,))
+    numbers = ("s", "h", "k", "r") if mtype == "binomial" else ("s", "a", "b", "c", "r")
+    _expect_keys(model, "model", ("type", *numbers, "periods", "v"))
+    out["model"] = {
+        "type": mtype,
+        **{key: _parse_number(model[key], "model.%s" % key) for key in (*numbers, "v")},
+    }
     periods = model["periods"]
     if not isinstance(periods, int) or isinstance(periods, bool) or periods < 1:
         raise ConfigError("model.periods: expected an integer >= 1, got %r" % (periods,))
@@ -238,27 +236,24 @@ def config_to_jsonable(cfg) -> object:
 
 def _build_params(cfg: dict):
     model = cfg["model"]
-    try:
-        if model["type"] == "binomial":
-            return BinomialParams(
-                s=model["s"], h=model["h"], k=model["k"], r=model["r"],
-                n_periods=model["periods"], v=model["v"],
-            )
-        return TrinomialParams(
-            s=model["s"], a=model["a"], b=model["b"], c=model["c"], r=model["r"],
+    if model["type"] == "binomial":
+        return BinomialParams(
+            s=model["s"], h=model["h"], k=model["k"], r=model["r"],
             n_periods=model["periods"], v=model["v"],
         )
-    except AdmissibilityError:
-        raise
+    return TrinomialParams(
+        s=model["s"], a=model["a"], b=model["b"], c=model["c"], r=model["r"],
+        n_periods=model["periods"], v=model["v"],
+    )
 
 
 def _build_utility(cfg: dict) -> Utility:
     util = cfg["utility"]
-    if util["kind"] == "log":
-        return Utility.log()
-    if util["kind"] == "power":
-        return Utility.power(util["gamma"])
-    return Utility.exponential(util["alpha"])
+    try:
+        return Utility(util["kind"], gamma=util.get("gamma"), alpha=util.get("alpha"))
+    except ValueError as exc:
+        key = "gamma" if util["kind"] == "power" else "alpha"
+        raise ConfigError("utility.%s: %s" % (key, exc)) from None
 
 
 def _binomial_anticipation(cfg: dict, params: BinomialParams, exact_tree=None):
@@ -309,13 +304,18 @@ def _trinomial_anticipation(cfg: dict, params: TrinomialParams) -> np.ndarray:
 # formatting and output plumbing
 # ---------------------------------------------------------------------------
 
+# floats first: most cells are floats, and Fraction's isinstance check is slow
+_NUMBERS = (float, int, np.floating, np.integer, Fraction)
+
+
 def format_number(x, digits: int):
-    if x is None or isinstance(x, bool):
-        return x
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return int(x)
+    if not isinstance(x, float):
+        if x is None or isinstance(x, bool):
+            return x
+        if isinstance(x, Fraction):
+            return str(x)
+        if isinstance(x, (int, np.integer)):
+            return int(x)
     xf = float(x)
     if digits >= 17:
         return repr(xf)
@@ -327,25 +327,45 @@ def _format_tree(obj, digits: int):
         return {k: _format_tree(v, digits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_format_tree(v, digits) for v in obj]
-    if isinstance(obj, (Fraction, int, float, np.integer, np.floating)):
+    if isinstance(obj, _NUMBERS):
         return format_number(obj, digits)
     return obj
 
 
-def _write_json(path: Path, payload, digits: int):
-    path.write_text(json.dumps(_format_tree(payload, digits), indent=2, sort_keys=True) + "\n")
+# json.dumps spells these cells the same way, only slower
+_JSON_TOKEN = {str: encode_basestring_ascii, int: int.__repr__}
 
 
-def _write_csv(path: Path, rows: list[dict], columns: list[str], digits: int):
-    with path.open("w", newline="") as fh:
+def _spell(cells: list) -> tuple[list, list]:
+    """Each formatted cell as json.dumps writes it, and as its CSV field."""
+    if set(map(type, cells)) <= {float} and all(map(math.isfinite, cells)):
+        text = list(map(float.__repr__, cells))
+        return text, text
+    tokens = [_JSON_TOKEN.get(type(x), json.dumps)(x) for x in cells]
+    return tokens, ["" if x is None else x for x in cells]
+
+
+def _write_table(out_dir: Path, name: str, columns: dict, digits: int):
+    """Write name.json and name.csv, formatting every number once.
+
+    columns maps each CSV header, in order, to its cells (at least one
+    column).  name.json is json.dumps(row dicts, indent=2, sort_keys=True)
+    built from a template; name.csv holds the same cells, None left empty.
+    """
+    spelled = {
+        col: _spell([format_number(x, digits) if isinstance(x, _NUMBERS) else x for x in values])
+        for col, values in columns.items()
+    }
+    keys = sorted(spelled)
+    template = "  {\n%s\n  }" % ",\n".join(
+        "    %s: %%s" % encode_basestring_ascii(key).replace("%", "%%") for key in keys
+    )
+    rows = [template % row for row in zip(*(spelled[key][0] for key in keys))]
+    (out_dir / ("%s.json" % name)).write_text("[\n%s\n]\n" % ",\n".join(rows) if rows else "[]\n")
+    with (out_dir / ("%s.csv" % name)).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            formatted = []
-            for col in columns:
-                val = _format_tree(row.get(col), digits)
-                formatted.append("" if val is None else val)
-            writer.writerow(formatted)
+        writer.writerow(spelled)
+        writer.writerows(zip(*(fields for _, fields in spelled.values())))
 
 
 class RunContext:
@@ -363,9 +383,8 @@ class RunContext:
 
     def finish(self, command: str, results: dict, files: dict):
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        for name, (rows, columns) in files.items():
-            _write_json(self.out_dir / ("%s.json" % name), rows, self.digits)
-            _write_csv(self.out_dir / ("%s.csv" % name), rows, columns, self.digits)
+        for name, columns in files.items():
+            _write_table(self.out_dir, name, columns, self.digits)
         report = {
             "command": command,
             "config": config_to_jsonable(self.cfg),
@@ -398,31 +417,24 @@ def cmd_measure(ctx: RunContext) -> int:
     base = measures.risk_neutral_binomial(params)
     nu = _binomial_anticipation(cfg, params, exact_tree=base)
     minimal = measures.minimal_measure(base, nu)
-    from .markets import BinomialLattice
-
     lattice = BinomialLattice(params)
-    rows = []
-    for name, tree in (("risk_neutral", base), ("minimal", minimal)):
-        for n in range(params.n_periods):
-            for i in range(n + 1):
-                up, down = tree.transition(n, i)
-                rows.append({
-                    "measure": name,
-                    "time": n,
-                    "state_index": i,
-                    "price": lattice.price(n, i),
-                    "p_up": up,
-                    "p_down": down,
-                })
+    trees = (("risk_neutral", base), ("minimal", minimal))
+    nodes = [(n, i) for n in range(params.n_periods) for i in range(n + 1)]
+    probs = [tree.transition(n, i) for _, tree in trees for n, i in nodes]
     results = {
         "model": "binomial",
         "terminal_distribution": list(minimal.terminal_distribution()),
         "anticipation": list(nu.weights),
         "root_up_probability": minimal.up[0][0],
     }
-    return ctx.finish("measure", results, {
-        "measure_tree": (rows, ["measure", "time", "state_index", "price", "p_up", "p_down"]),
-    })
+    return ctx.finish("measure", results, {"measure_tree": {
+        "measure": [name for name, _ in trees for _ in nodes],
+        "time": [n for n, _ in nodes] * len(trees),
+        "state_index": [i for _, i in nodes] * len(trees),
+        "price": [lattice.price(n, i) for n, i in nodes] * len(trees),
+        "p_up": [up for up, _ in probs],
+        "p_down": [down for _, down in probs],
+    }})
 
 
 def cmd_value(ctx: RunContext) -> int:
@@ -433,23 +445,10 @@ def cmd_value(ctx: RunContext) -> int:
     utility = _build_utility(cfg)
     nu = _binomial_anticipation(cfg, params)
     solution = complete.solve(params, utility, nu)
-    from .markets import BinomialLattice
-
     lattice = BinomialLattice(params)
+    last = params.n_periods
     p_up = (params.r + params.k) / (params.h + params.k)
-    rows = []
-    for n in range(params.n_periods + 1):
-        for i in range(n + 1):
-            interior = n < params.n_periods
-            rows.append({
-                "time": n,
-                "state_index": i,
-                "price": lattice.price(n, i),
-                "p_up": p_up if interior else None,
-                "p_down": 1 - p_up if interior else None,
-                "wealth": float(solution.wealth[n][i]),
-                "delta": float(solution.deltas[n][i]) if interior else None,
-            })
+    nodes = [(n, i) for n in range(last + 1) for i in range(n + 1)]
     results = {
         "utility": utility.describe(),
         "lambda": solution.lam,
@@ -460,12 +459,15 @@ def cmd_value(ctx: RunContext) -> int:
         "budget_residual": solution.budget_residual,
         "martingale_gap": solution.martingale_gap(),
     }
-    return ctx.finish("value", results, {
-        "wealth_tree": (
-            rows,
-            ["time", "state_index", "price", "p_up", "p_down", "wealth", "delta"],
-        ),
-    })
+    return ctx.finish("value", results, {"wealth_tree": {
+        "time": [n for n, _ in nodes],
+        "state_index": [i for _, i in nodes],
+        "price": [lattice.price(n, i) for n, i in nodes],
+        "p_up": [p_up if n < last else None for n, _ in nodes],
+        "p_down": [1 - p_up if n < last else None for n, _ in nodes],
+        "wealth": np.concatenate(solution.wealth).tolist(),
+        "delta": np.concatenate(solution.deltas).tolist() + [None] * (last + 1),
+    }})
 
 
 def cmd_sweep(ctx: RunContext) -> int:
@@ -487,24 +489,16 @@ def cmd_sweep(ctx: RunContext) -> int:
         if missing:
             raise ConfigError("run.presets: %s unavailable for this model" % ", ".join(missing))
         selections = {name: available[name] for name in names}
-    rows_raw = complete.sweep(params, utility, selections, run["v_grid"], threads=ctx.args.threads)
-    rows = [{
-        "anticipation": r.anticipation,
-        "v": r.v,
-        "value": r.value,
-        "extra_value": r.extra_value,
-        "proportion": r.proportion,
-        "error": r.error,
-    } for r in rows_raw]
-    n_failed = sum(1 for r in rows_raw if r.error)
+    rows = complete.sweep(params, utility, selections, run["v_grid"], threads=ctx.args.threads)
     results = {
         "utility": utility.describe(),
         "anticipations": sorted(selections),
         "rows": len(rows),
-        "failed_rows": n_failed,
+        "failed_rows": sum(1 for r in rows if r.error),
     }
+    fields = ("anticipation", "v", "value", "extra_value", "proportion", "error")
     return ctx.finish("sweep", results, {
-        "curves": (rows, ["anticipation", "v", "value", "extra_value", "proportion", "error"]),
+        "curves": {field: [getattr(r, field) for r in rows] for field in fields},
     })
 
 
@@ -518,29 +512,30 @@ def cmd_trinomial(ctx: RunContext) -> int:
     tol = ctx.tolerance(1e-10)
     solution = trinomial.solve_lambda_system(params, utility, nu, tol=tol)
     t_mix = cfg.get("run", {}).get("t_mix", 0.5)
-
-    path_rows = [{
-        "path": path,
-        "nu": float(nu[idx]),
-        "terminal_wealth": float(solution.terminal_wealth[idx]),
-    } for idx, path in enumerate(trinomial.path_strings(params.n_periods))]
-
-    node_rows = []
-    replic: dict = {}
+    depths = range(params.n_periods)
+    files = {"trinomial_paths": {
+        "path": trinomial.path_strings(params.n_periods),
+        "nu": np.asarray(nu, dtype=float).tolist(),
+        "terminal_wealth": np.asarray(solution.terminal_wealth, dtype=float).tolist(),
+    }}
     try:
         wealth, deltas, report = trinomial.trinomial_wealth_and_delta(
             params, solution.terminal_wealth, t=t_mix
         )
-        replic = {"ok": True, "worst_node": report.worst_node, "worst_gap": report.worst_gap}
-        prices = trinomial._node_prices(params, _exact_dtype((params.s, *params.multipliers)))
-        for depth in range(params.n_periods):
-            columns = (prices[depth].tolist(), wealth.levels[depth].tolist(),
-                       deltas.levels[depth].tolist())
-            for prefix, price, w, d in zip(trinomial.path_strings(depth), *columns):
-                node_rows.append({"node": prefix or "<root>", "time": depth,
-                                  "price": price, "wealth": w, "delta": d})
     except trinomial.ReplicationError as exc:
         replic = {"ok": False, "detail": str(exc)}
+    except ValueError as exc:
+        raise ConfigError("run.t_mix: %s" % exc) from None
+    else:
+        replic = {"ok": True, "worst_node": report.worst_node, "worst_gap": report.worst_gap}
+        prices = trinomial._node_prices(params, _exact_dtype((params.s, *params.multipliers)))
+        files["trinomial_tree"] = {
+            "node": [p or "<root>" for d in depths for p in trinomial.path_strings(d)],
+            "time": [d for d in depths for _ in range(3**d)],
+            "price": np.concatenate(prices[:-1]).tolist(),
+            "wealth": np.concatenate([wealth.levels[d] for d in depths]).tolist(),
+            "delta": np.concatenate([deltas.levels[d] for d in depths]).tolist(),
+        }
 
     results = {
         "utility": utility.describe(),
@@ -553,11 +548,6 @@ def cmd_trinomial(ctx: RunContext) -> int:
         "replicability": replic,
         "interior_t": t_mix,
     }
-    files = {
-        "trinomial_paths": (path_rows, ["path", "nu", "terminal_wealth"]),
-    }
-    if node_rows:
-        files["trinomial_tree"] = (node_rows, ["node", "time", "price", "wealth", "delta"])
     return ctx.finish("trinomial", results, files)
 
 
@@ -585,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="significant digits in outputs (17 = full)",
         )
         p.add_argument("--tolerance", type=float, default=None, help="iterative solver tolerance")
-        p.add_argument("--threads", type=int, default=1, help="sweep parallelism")
+        p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     return parser
 
 

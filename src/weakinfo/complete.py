@@ -21,8 +21,7 @@ tolerance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -228,26 +227,27 @@ def value_of_information(params: BinomialParams, utility: Utility, nu) -> ValueT
 
     pi is None (undefined) when u = 0.
     """
+    return _value_curve(params, utility, nu)(float(params.v))
+
+
+def _value_curve(params: BinomialParams, utility: Utility, nu):
+    """`value_of_information` as a function of v, its wealth-free part done once."""
     rho_n = float(params.rho) ** params.n_periods
-    v = float(params.v)
     rn = terminal_risk_neutral(params)
     nu_arr = _nu_array(params, nu)
     if utility.kind == LOG:
         mask = nu_arr > 0
         kl = float(np.dot(nu_arr[mask], np.log(nu_arr[mask] / rn[mask])))
-        u = math.log(v * rho_n) + kl
-        return _triple(u, math.log(v * rho_n))
+        return lambda v: _triple(math.log(v * rho_n) + kl, math.log(v * rho_n))
     if np.any(nu_arr <= 0):
         raise DomainError("anticipation must be strictly positive for this family")
     z = rn / nu_arr
     if utility.kind == POWER:
         g = utility.gamma
         a = float(np.dot(rn, z ** (1.0 / (g - 1.0))))
-        u = v**g * rho_n**g * a ** (1.0 - g) / g
-        return _triple(u, v**g * rho_n**g / g)
-    d = float(np.dot(rn, np.log(z)))
-    u = -math.exp(-v * utility.alpha * rho_n - d)
-    return _triple(u, -math.exp(-v * utility.alpha * rho_n))
+        return lambda v: _triple(v**g * rho_n**g * a ** (1.0 - g) / g, v**g * rho_n**g / g)
+    d, alpha = float(np.dot(rn, np.log(z))), utility.alpha
+    return lambda v: _triple(-math.exp(-v * alpha * rho_n - d), -math.exp(-v * alpha * rho_n))
 
 
 @dataclass
@@ -401,35 +401,28 @@ def sweep(
 ) -> list[SweepRow]:
     """Value/extra-value/proportion curves over an initial-wealth grid.
 
-    Rows are produced in deterministic (anticipation, v) order regardless of
-    thread count.  A row the library rejects (`AdmissibilityError`,
-    `DomainError`, `ConvergenceError`) is tagged, not fatal; any other
-    exception propagates.
+    Rows come in (anticipation, v) order and equal `value_of_information`
+    at each v; its wealth-free part runs once per anticipation.  A row the
+    library rejects (`AdmissibilityError`, `DomainError`,
+    `ConvergenceError`) is tagged, not fatal: v is checked first, then the
+    anticipation.  Any other exception propagates.  `threads` is accepted
+    for compatibility and changes nothing.
     """
-    jobs = [
-        (name, float(v))
-        for name in anticipations
-        for v in v_grid
-    ]
-
-    def run(job):
-        name, v = job
+    rows = []
+    for name, nu in anticipations.items():
         try:
-            p = BinomialParams(
-                s=params.s, h=params.h, k=params.k, r=params.r,
-                n_periods=params.n_periods, v=v,
-            )
-            triple = value_of_information(p, utility, anticipations[name])
-            return SweepRow(name, v, triple.value, triple.extra_value, triple.proportion)
+            curve = _value_curve(params, utility, nu)
         except (AdmissibilityError, DomainError, ConvergenceError) as exc:
-            # a row the model rejects is tagged and the run continues
-            return SweepRow(name, v, None, None, None, error=str(exc))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(job) for job in jobs]
+            curve = exc
+        for v in map(float, v_grid):
+            try:
+                replace(params, v=v)  # rejects v as BinomialParams does
+                if isinstance(curve, Exception):
+                    raise curve
+                triple = curve(v)
+                rows.append(SweepRow(name, v, triple.value, triple.extra_value, triple.proportion))
+            except (AdmissibilityError, DomainError, ConvergenceError) as exc:
+                rows.append(SweepRow(name, v, None, None, None, error=str(exc)))
     return rows
 
 

@@ -20,7 +20,7 @@ kept in plain Python so `fractions.Fraction` inputs stay exact end to end.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -91,8 +91,27 @@ class LevelView(Mapping):
     def __len__(self) -> int:
         return sum(map(len, self.levels.values()))
 
+    def items(self):
+        return _LevelItems(self)
+
+    def values(self):
+        return _LevelValues(self)
+
     def __repr__(self) -> str:
         return "LevelView(%r)" % dict(self)
+
+
+class _LevelItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.values())
+
+
+class _LevelValues(ValuesView):
+    """Values read off the level arrays, not looked up key by key."""
+
+    def __iter__(self):
+        for level in self._mapping.levels.values():
+            yield from level if level.ndim > 1 else level.tolist()
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@
 With three one-period outcomes and two assets the martingale measure is no
 longer unique: the admissible one-period measures form the open segment
 between two extremal triples, each with one zero entry.  Products of
-extremal choices over the periods give 2^N path measures whose convex hull
-contains every martingale path measure, so the budget constraint "price v
-under every martingale measure" is equivalent to the 2^N linear budget
-equations under the product measures.
+extremal choices over the periods give 2^N path measures.  Their convex
+hull holds the martingale measures that mix the same way at every node of
+a period, so "price v under every such measure" is equivalent to the 2^N
+linear budget equations under the product measures.  For N >= 2 a
+martingale measure may mix per node, and the hull misses those: the 2^N
+budgets are a relaxation of pricing under every martingale measure.
 
 The optimal terminal claim solves a 2^N-dimensional dual system: find
 multipliers lam_j with
@@ -28,10 +30,11 @@ power utility (I is multiplicative), and splits into a sum of them for
 exponential utility, whose one-period shape does not depend on v.  Any
 other nu starts from the uniform shape.
 
-The solved claim satisfies every budget equation, hence is attainable, and
-its wealth process / holdings follow from any fixed interior measure
-(t = 1/2 per period by default).  All three pairwise difference quotients
-must then agree; the consistency check is enforced, not assumed.
+The solved claim satisfies every product budget.  It is attainable only if
+it replicates: its wealth process / holdings follow from any fixed interior
+measure (t = 1/2 per period by default), and all three pairwise difference
+quotients must then agree.  The check is enforced, not assumed; a claim
+solved for an anticipation that is not a product generally fails it.
 """
 from __future__ import annotations
 
@@ -148,14 +151,6 @@ class ProductMeasureSet:
             triple = self.pair.p0 if ch == "0" else self.pair.p1
             prob = prob * triple[_OUTCOME_INDEX[step]]
         return prob
-
-    def measure_vector(self, choice: str) -> np.ndarray:
-        """Float path-probability vector of one product measure."""
-        w = self.pair.as_matrix()
-        out = np.array([1.0])
-        for ch in choice:
-            out = np.kron(out, w[int(ch)])
-        return out
 
     def matrix(self) -> np.ndarray:
         """Dense (2^N, 3^N) matrix of all products; small N only."""

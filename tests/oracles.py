@@ -6,11 +6,14 @@ search plus interval refinement, higher-dimensional ones by a generic
 constrained optimizer with analytic gradients), and strategies are simulated
 forward from raw holdings.  The replay loops and the general-market
 per-node loops at the end are the scalar references for the library's
-per-period array passes.
+per-period array passes, and the row-dict writer after them is the
+reference for the CLI's one-pass table writer.
 """
 from __future__ import annotations
 
+import csv
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -345,3 +348,47 @@ def solve_complete_market_loop(market, utility, nu_leaves):
             wealth[node] = float(np.dot(q, children) / rho)
             deltas[node] = np.linalg.solve(market.price_matrix(node), children)
     return lam, wealth, deltas
+
+
+# ---------------------------------------------------------------------------
+# CLI output: the row-dict JSON/CSV writer
+# ---------------------------------------------------------------------------
+
+def format_number_reference(x, digits: int):
+    if x is None or isinstance(x, bool):
+        return x
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    xf = float(x)
+    if digits >= 17:
+        return repr(xf)
+    return float("%.*g" % (digits, xf))
+
+
+def _format_tree(obj, digits: int):
+    if isinstance(obj, dict):
+        return {k: _format_tree(v, digits) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_format_tree(v, digits) for v in obj]
+    if isinstance(obj, (Fraction, int, float, np.integer, np.floating)):
+        return format_number_reference(obj, digits)
+    return obj
+
+
+def write_table_loop(out_dir, name: str, columns: dict, digits: int):
+    """name.json and name.csv from row dicts, formatting each cell per file."""
+    rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+    (out_dir / ("%s.json" % name)).write_text(
+        json.dumps(_format_tree(rows, digits), indent=2, sort_keys=True) + "\n"
+    )
+    with (out_dir / ("%s.csv" % name)).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        for row in rows:
+            formatted = []
+            for col in columns:
+                val = _format_tree(row.get(col), digits)
+                formatted.append("" if val is None else val)
+            writer.writerow(formatted)

@@ -2,11 +2,18 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import write_table_loop
+from weakinfo import cli
 from weakinfo.cli import main, validate_config
 
 BINOMIAL_EXACT = {
@@ -137,6 +144,72 @@ def test_config_echo_round_trips(tmp_path):
     assert main(["measure", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert validate_config(report["config"]) == validate_config(cfg)
+
+
+@pytest.mark.parametrize("command, section, entry, where", [
+    ("value", "model", {"s": math.inf}, "model.s"),
+    ("value", "model", {"v": math.nan}, "model.v"),
+    ("value", "utility", {"kind": "power", "gamma": 1}, "utility.gamma"),
+    ("value", "utility", {"kind": "exponential", "alpha": 0}, "utility.alpha"),
+    ("trinomial", "run", {"t_mix": 1.0}, "run.t_mix"),
+])
+def test_bad_values_are_config_errors(tmp_path, capsys, command, section, entry, where):
+    # each used to end in a traceback (exit 1) or in inf prices (exit 0)
+    cfg = {
+        "schema_version": 1,
+        "model": BINOMIAL_FLOAT if command == "value" else {**TRI_MODEL, "periods": 2},
+        "utility": {"kind": "log"},
+        "anticipation": {"preset": "uniform"} if command == "value"
+        else {"per_period": [[0.3, 0.3, 0.4]] * 2},
+    }
+    cfg[section] = {**cfg.get(section, {}), **entry}
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: %s: " % where)
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# output tables
+# ---------------------------------------------------------------------------
+
+CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324, 1e308, 1.5e-7]),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.fractions(),
+    st.none(),
+    st.booleans(),
+    st.text(),
+    st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\rlf\r\n", "ünïcödé €", "", "%s"]),
+)
+
+
+@st.composite
+def tables(draw):
+    """Columns of one kind, as the commands write them, or of mixed kinds."""
+    names = draw(st.lists(st.text(min_size=1), min_size=1, max_size=4, unique=True))
+    n_rows = draw(st.integers(0, 6))
+    kinds = st.sampled_from([CELLS, st.floats(), st.floats(allow_nan=False, allow_infinity=False)])
+    return {
+        name: draw(st.lists(draw(kinds), min_size=n_rows, max_size=n_rows)) for name in names
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=tables(), digits=st.integers(1, 17))
+@example(columns={"empty": []}, digits=7)
+def test_table_writer_matches_the_row_dict_oracle(columns, digits):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got"), Path(tmp, "want")
+        got.mkdir()
+        want.mkdir()
+        cli._write_table(got, "t", columns, digits)
+        write_table_loop(want, "t", columns, digits)
+        for name in ("t.json", "t.csv"):
+            assert (got / name).read_bytes() == (want / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------

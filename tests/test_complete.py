@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from oracles import binomial_value_oracle
 from weakinfo import complete
 from weakinfo import (
+    AdmissibilityError,
+    Anticipation,
     BinomialParams,
     CompleteMarket,
     ConvergenceError,
@@ -23,7 +26,7 @@ from weakinfo import (
     sweep,
     value_of_information,
 )
-from weakinfo.complete import closed_form_lambda, terminal_risk_neutral
+from weakinfo.complete import SweepRow, closed_form_lambda, terminal_risk_neutral
 from weakinfo.roots import decreasing_root
 
 UNIFORM4 = (0.25, 0.25, 0.25, 0.25)
@@ -398,6 +401,31 @@ def test_sweep_tags_failing_rows(sweep_market):
     bad = [r for r in rows if r.error is not None]
     assert len(good) == 1 and len(bad) == 1
     assert bad[0].v == -5.0
+
+
+@pytest.mark.parametrize("utility", ALL_UTILITIES, ids=str)
+def test_sweep_rows_equal_value_of_information(sweep_market, utility):
+    # the sweep does the wealth-free work once per anticipation; every row
+    # must still be the per-v closed form to the bit, and every rejected
+    # row must keep its message: v is checked before the anticipation
+    anticipations = {
+        **anticipation_presets(sweep_market),
+        "zero": Anticipation((0.0, 0.2, 0.2, 0.2, 0.2, 0.2), allow_zero=True),
+    }
+    grid = [50.0, 123.456, -5.0, 0.0, 1e4]
+    want = []
+    for name, nu in anticipations.items():
+        for v in grid:
+            try:
+                t = value_of_information(replace(sweep_market, v=v), utility, nu)
+                want.append(SweepRow(name, v, t.value, t.extra_value, t.proportion))
+            except (AdmissibilityError, DomainError) as exc:
+                want.append(SweepRow(name, v, None, None, None, error=str(exc)))
+    rows = sweep(sweep_market, utility, anticipations, grid)
+    assert list(map(repr, rows)) == list(map(repr, want))
+    errors = {r.error for r in rows if r.error}
+    assert "initial wealth must satisfy v > 0" in errors
+    assert (utility.kind == "log") != any("strictly positive" in e for e in errors)
 
 
 def test_sweep_propagates_non_model_errors(sweep_market):

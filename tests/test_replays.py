@@ -320,6 +320,10 @@ def _check_view(view, want: dict):
     _assert_same_dict(copy, want)
     assert view == copy and copy == view
     assert repr(view) == "LevelView(%r)" % copy
+    # items() and values() read the level arrays; they must match lookups
+    typed = [(k, type(x), x) for k, x in view.items()]
+    assert typed == [(k, type(view[k]), view[k]) for k in view]
+    assert list(view.values()) == [x for _, _, x in typed]
     key = max(want, key=len)
     assert key in view
     changed = {**copy, key: "changed"}
@@ -386,6 +390,8 @@ def test_tuple_views_key_states_in_base_m(m, depths, width):
     }
     assert list(view) == list(want) and len(view) == len(want)
     assert all(np.array_equal(view[node], value) for node, value in want.items())
+    assert all(np.array_equal(value, want[node]) for node, value in view.items())
+    assert all(type(x) is type(y) for x, y in zip(view.values(), want.values()))
     if not width:
         assert view == want and want == view
     deepest = max(depths)
