@@ -149,14 +149,10 @@ def validate_config(raw) -> dict:
     if kind == "log":
         _expect_keys(util, "utility", ("kind",))
         out["utility"] = {"kind": "log"}
-    elif kind == "power":
-        _expect_keys(util, "utility", ("kind", "gamma"))
-        gamma = _parse_number(util["gamma"], "utility.gamma")
-        out["utility"] = {"kind": "power", "gamma": float(gamma)}
-    elif kind == "exponential":
-        _expect_keys(util, "utility", ("kind", "alpha"))
-        alpha = _parse_number(util["alpha"], "utility.alpha")
-        out["utility"] = {"kind": "exponential", "alpha": float(alpha)}
+    elif kind in ("power", "exponential"):
+        key = "gamma" if kind == "power" else "alpha"
+        _expect_keys(util, "utility", ("kind", key))
+        out["utility"] = {"kind": kind, key: float(_parse_number(util[key], "utility." + key))}
     else:
         raise ConfigError(
             "utility.kind: expected 'log', 'power' or 'exponential', got %r" % (kind,)
@@ -288,7 +284,7 @@ def _trinomial_anticipation(cfg: dict, params: TrinomialParams) -> np.ndarray:
         raise ConfigError("anticipation: section is required for this command")
     try:
         if "paths" in ant:
-            return trinomial.coerce_path_anticipation(params, [float(x) for x in ant["paths"]])
+            return trinomial.coerce_path_anticipation(params, ant["paths"])
         if "per_period" in ant:
             return trinomial.product_path_anticipation(params, ant["per_period"])
         if "terminal" in ant:
@@ -447,7 +443,7 @@ def cmd_value(ctx: RunContext) -> int:
     solution = complete.solve(params, utility, nu)
     lattice = BinomialLattice(params)
     last = params.n_periods
-    p_up = (params.r + params.k) / (params.h + params.k)
+    p_up, p_down = measures.risk_neutral_binomial(params).transition(0, 0)
     nodes = [(n, i) for n in range(last + 1) for i in range(n + 1)]
     results = {
         "utility": utility.describe(),
@@ -464,7 +460,7 @@ def cmd_value(ctx: RunContext) -> int:
         "state_index": [i for _, i in nodes],
         "price": [lattice.price(n, i) for n, i in nodes],
         "p_up": [p_up if n < last else None for n, _ in nodes],
-        "p_down": [1 - p_up if n < last else None for n, _ in nodes],
+        "p_down": [p_down if n < last else None for n, _ in nodes],
         "wealth": np.concatenate(solution.wealth).tolist(),
         "delta": np.concatenate(solution.deltas).tolist() + [None] * (last + 1),
     }})

@@ -13,15 +13,15 @@ and the replicating holdings come from one-period linear systems (a 2x2
 difference quotient on the binomial lattice, a full M x M solve in the
 general market).
 
-Closed forms for lam and the achieved value exist for all three utility
-families and are used as the default; the generic bracketing solver is kept
-alongside as an independent route and the two must agree to solver
-tolerance.
+Its closed form per utility family depends only on the (rn, nu) arrays, so
+both complete markets share one (`_closed_form`); exponential wealth is
+formed without lam, which can underflow.  The bracketing solver is kept on
+the binomial lattice as an independent route; the two agree to tolerance.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -29,16 +29,21 @@ from .errors import AdmissibilityError, ConvergenceError, DomainError
 from .markets import BINOMIAL_OUTCOMES, BinomialLattice, BinomialParams, CompleteMarket, LevelView
 from .measures import Anticipation
 from .roots import decreasing_root
-from .utility import LOG, POWER, Utility
+from .utility import EXPONENTIAL, LOG, POWER, Utility
 
 
 # ---------------------------------------------------------------------------
 # terminal quantities
 # ---------------------------------------------------------------------------
 
+def _up_probability(params: BinomialParams) -> float:
+    """The risk-neutral up probability p = (r + k) / (h + k), as a float."""
+    return (float(params.r) + float(params.k)) / (float(params.h) + float(params.k))
+
+
 def terminal_risk_neutral(params: BinomialParams) -> np.ndarray:
     """Risk-neutral terminal distribution over down-counts 0..N."""
-    p = (float(params.r) + float(params.k)) / (float(params.h) + float(params.k))
+    p = _up_probability(params)
     n = params.n_periods
     return np.array(
         [math.comb(n, i) * p ** (n - i) * (1 - p) ** i for i in range(n + 1)],
@@ -77,21 +82,47 @@ def budget_map(lam: float, params: BinomialParams, utility: Utility, nu) -> floa
     return float(np.dot(rn, disc * utility.inverse_marginal(lam * disc * z)))
 
 
+def _family_statistic(utility: Utility, w, z) -> float | None:
+    """None for log, A = E_w[z^(1/(g-1))] for power, d = E_w[ln z] for exponential."""
+    if utility.kind == LOG:
+        return None
+    f = np.log(z) if utility.kind == EXPONENTIAL else z ** (1.0 / (utility.gamma - 1.0))
+    return float(np.dot(w, f))
+
+
+def _closed_form(utility: Utility, w, z, rho: float, n: int, v: float):
+    """(lam, terminal wealth, `_family_statistic`) with E_w[rho^-N I(lam rho^-N z)] = v.
+
+    w is a probability vector and z > 0 a ratio on its states.  log: lam =
+    1/v; power: lam = (v rho^(N g/(g-1)) / A)^(g-1); exponential: lam =
+    alpha rho^N exp(-v alpha rho^N - d), which may underflow to 0, so the
+    wealth it buys is formed without it, as v rho^N + (d - ln z) / alpha.
+    """
+    rho_n = rho**n
+    stat = _family_statistic(utility, w, z)
+    if utility.kind == EXPONENTIAL:
+        alpha = utility.alpha
+        lam = float(alpha * rho_n * math.exp(-v * alpha * rho_n - stat))
+        return lam, v * rho_n + (stat - np.log(z)) / alpha, stat
+    if utility.kind == LOG:
+        lam = 1.0 / v
+    else:
+        g = utility.gamma
+        try:
+            lam = float((v * rho_n ** (g / (g - 1.0)) / stat) ** (g - 1.0))
+        except OverflowError:
+            raise DomainError("the budget multiplier overflows a double at v=%r" % v) from None
+    return lam, np.asarray(utility.inverse_marginal(lam * rho ** (-n) * z), dtype=float), stat
+
+
+def _binomial_closed_form(params: BinomialParams, utility: Utility, nu):
+    rn, z = terminal_risk_neutral(params), state_price_ratio(params, nu)
+    return _closed_form(utility, rn, z, float(params.rho), params.n_periods, float(params.v))
+
+
 def closed_form_lambda(params: BinomialParams, utility: Utility, nu) -> float:
     """The budget multiplier in closed form, per utility family."""
-    rho_n = float(params.rho) ** params.n_periods
-    v = float(params.v)
-    if utility.kind == LOG:
-        return 1.0 / v
-    rn = terminal_risk_neutral(params)
-    z = state_price_ratio(params, nu)
-    if utility.kind == POWER:
-        g = utility.gamma
-        a = float(np.dot(rn, z ** (1.0 / (g - 1.0))))
-        return float((v * rho_n ** (g / (g - 1.0)) / a) ** (g - 1.0))
-    # exponential: lam = alpha rho^N exp(-v alpha rho^N - E_rn[ln Z])
-    d = float(np.dot(rn, np.log(z)))
-    return float(utility.alpha * rho_n * math.exp(-v * utility.alpha * rho_n - d))
+    return _binomial_closed_form(params, utility, nu)[0]
 
 
 def solve_lambda(
@@ -146,14 +177,16 @@ def optimal_terminal_wealth(
 
 def optimal_wealth_process(terminal_wealth, params: BinomialParams) -> list[np.ndarray]:
     """Backward discounted risk-neutral expectations; wealth[n][i] at node (n, i)."""
-    p = (float(params.r) + float(params.k)) / (float(params.h) + float(params.k))
-    rho = float(params.rho)
+    p, rho = _up_probability(params), float(params.rho)
     levels = [np.asarray(terminal_wealth, dtype=float)]
     for _ in range(params.n_periods):
-        nxt = levels[0]
-        cur = (p * nxt[:-1] + (1 - p) * nxt[1:]) / rho
-        levels.insert(0, cur)
+        levels.insert(0, _backward_step(levels[0], p, rho))
     return levels
+
+
+def _backward_step(nxt: np.ndarray, p: float, rho: float) -> np.ndarray:
+    """Discounted expectation of a level's successors under up probability p."""
+    return (p * nxt[:-1] + (1 - p) * nxt[1:]) / rho
 
 
 def replicate_portfolio(wealth: list[np.ndarray], params: BinomialParams) -> list[np.ndarray]:
@@ -205,15 +238,18 @@ class ValueTriple:
     extra_value: float
     proportion: float | None
 
-    @property
-    def proportion_defined(self) -> bool:
-        return self.proportion is not None
 
+def _triple(utility: Utility, u: float, riskfree_u: float, stat: float | None) -> ValueTriple:
+    """The triple of achieved utility u, with stat = `_family_statistic` of (rn, Z).
 
-def _triple(u: float, riskfree_u: float) -> ValueTriple:
-    extra = u - riskfree_u
-    prop = None if u == 0.0 else 1.0 - riskfree_u / u
-    return ValueTriple(value=u, extra_value=extra, proportion=prop)
+    For exponential utility stat is d = KL(rn || nu), and the proportion is
+    1 - exp(d), finite where u and riskfree_u underflow together.
+    """
+    if utility.kind == EXPONENTIAL:
+        prop = -math.expm1(stat)
+    else:
+        prop = None if u == 0.0 else 1.0 - riskfree_u / u
+    return ValueTriple(value=u, extra_value=u - riskfree_u, proportion=prop)
 
 
 def value_of_information(params: BinomialParams, utility: Utility, nu) -> ValueTriple:
@@ -223,9 +259,11 @@ def value_of_information(params: BinomialParams, utility: Utility, nu) -> ValueT
             relative entropy, so it does not depend on wealth.
     power:  u = v^g rho^(N g) A^(1-g) / g with A = E_rn[Z^(1/(g-1))]; the
             proportion 1 - A^(g-1) does not depend on wealth.
-    exp:    u = -exp(-v alpha rho^N - KL(rn terminal || nu)).
+    exp:    u = -exp(-v alpha rho^N - KL(rn terminal || nu)); the
+            proportion 1 - exp(KL) does not depend on wealth.
 
-    pi is None (undefined) when u = 0.
+    pi is None (undefined) when u = 0.  A value that overflows a double
+    raises `DomainError`.
     """
     return _value_curve(params, utility, nu)(float(params.v))
 
@@ -238,16 +276,24 @@ def _value_curve(params: BinomialParams, utility: Utility, nu):
     if utility.kind == LOG:
         mask = nu_arr > 0
         kl = float(np.dot(nu_arr[mask], np.log(nu_arr[mask] / rn[mask])))
-        return lambda v: _triple(math.log(v * rho_n) + kl, math.log(v * rho_n))
-    if np.any(nu_arr <= 0):
+        stat, utilities = None, lambda v: (math.log(v * rho_n) + kl, math.log(v * rho_n))
+    elif np.any(nu_arr <= 0):
         raise DomainError("anticipation must be strictly positive for this family")
-    z = rn / nu_arr
-    if utility.kind == POWER:
-        g = utility.gamma
-        a = float(np.dot(rn, z ** (1.0 / (g - 1.0))))
-        return lambda v: _triple(v**g * rho_n**g * a ** (1.0 - g) / g, v**g * rho_n**g / g)
-    d, alpha = float(np.dot(rn, np.log(z))), utility.alpha
-    return lambda v: _triple(-math.exp(-v * alpha * rho_n - d), -math.exp(-v * alpha * rho_n))
+    else:
+        stat, g, alpha = _family_statistic(utility, rn, rn / nu_arr), utility.gamma, utility.alpha
+        if utility.kind == POWER:
+            utilities = lambda v: (v**g * rho_n**g * stat ** (1.0 - g) / g, v**g * rho_n**g / g)
+        else:
+            utilities = lambda v: (-math.exp(-v * alpha * rho_n - stat),
+                                   -math.exp(-v * alpha * rho_n))
+
+    def curve(v: float) -> ValueTriple:
+        try:
+            return _triple(utility, *utilities(v), stat)
+        except OverflowError:
+            raise DomainError("the value overflows a double at v=%r" % v) from None
+
+    return curve
 
 
 @dataclass
@@ -268,14 +314,11 @@ class CompleteSolution:
 
     def martingale_gap(self) -> float:
         """Worst relative error in the node-wise martingale identity."""
-        p = (float(self.params.r) + float(self.params.k)) / (
-            float(self.params.h) + float(self.params.k)
-        )
-        rho = float(self.params.rho)
+        p, rho = _up_probability(self.params), float(self.params.rho)
         worst = 0.0
         for n in range(self.params.n_periods):
-            cur, nxt = self.wealth[n], self.wealth[n + 1]
-            implied = (p * nxt[:-1] + (1 - p) * nxt[1:]) / rho
+            cur = self.wealth[n]
+            implied = _backward_step(self.wealth[n + 1], p, rho)
             scale = np.maximum(np.abs(cur), 1.0)
             worst = max(worst, float(np.max(np.abs(implied - cur) / scale)))
         return worst
@@ -299,17 +342,18 @@ def solve(
     """Run the full pipeline: multiplier, wealth tree, holdings, value."""
     nu = Anticipation.of(nu)
     lam = solve_lambda(params, utility, nu, method=method)
-    terminal = optimal_terminal_wealth(lam, params, utility, nu)
+    # closed-form wealth needs no lam, which underflows for exponential utility
+    _, terminal, stat = _binomial_closed_form(params, utility, nu)
+    if method == "bracket":
+        terminal = optimal_terminal_wealth(lam, params, utility, nu)
     if utility.requires_positive_wealth and np.any(terminal <= 0):
         raise DomainError("optimal terminal wealth left the utility domain")
     wealth = optimal_wealth_process(terminal, params)
     deltas = replicate_portfolio(wealth, params)
-    nu_arr = _nu_array(params, nu)
-    u = float(np.dot(nu_arr, utility.evaluate(terminal)))
     v = float(params.v)
-    riskfree_u = float(utility.evaluate(v * float(params.rho) ** params.n_periods))
     residual = _budget_residual(float(wealth[0][0]), v)
-    prop = None if u == 0.0 else 1.0 - riskfree_u / u
+    u = float(np.dot(_nu_array(params, nu), utility.evaluate(terminal)))
+    riskfree_u = float(utility.evaluate(v * float(params.rho) ** params.n_periods))
     return CompleteSolution(
         params=params,
         utility=utility,
@@ -318,10 +362,8 @@ def solve(
         terminal_wealth=terminal,
         wealth=wealth,
         deltas=deltas,
-        value=u,
-        extra_value=u - riskfree_u,
-        proportion=prop,
         budget_residual=residual,
+        **asdict(_triple(utility, u, riskfree_u, stat)),
     )
 
 
@@ -419,8 +461,7 @@ def sweep(
                 replace(params, v=v)  # rejects v as BinomialParams does
                 if isinstance(curve, Exception):
                     raise curve
-                triple = curve(v)
-                rows.append(SweepRow(name, v, triple.value, triple.extra_value, triple.proportion))
+                rows.append(SweepRow(name, v, **asdict(curve(v))))
             except (AdmissibilityError, DomainError, ConvergenceError) as exc:
                 rows.append(SweepRow(name, v, None, None, None, error=str(exc)))
     return rows
@@ -468,11 +509,13 @@ def solve_complete_market(
 ) -> GeneralSolution:
     """Martingale-method pipeline on a general M-state market.
 
-    nu_leaves maps each leaf (state tuple) to its anticipated probability.
-    Replication solves the full M x M system D delta = next-period wealth at
-    every node; holdings are reported per replication asset.  Each depth is
-    one array pass over its nodes in `nodes(n)` order, with one batched solve;
-    the trees are views over those per-depth arrays, from the deepest level up.
+    nu_leaves maps each leaf (state tuple) to its anticipated probability;
+    lam and terminal wealth take the binomial lattice's closed form, with nu
+    divided by its sum.  Replication solves the full M x M system D delta =
+    next-period wealth at every node; holdings are reported per replication
+    asset.  Each depth is one array pass over its nodes in `nodes(n)` order,
+    with one batched solve; the trees are views over those per-depth arrays,
+    from the deepest level up.
     """
     qs, rn_arr = _period_measures(market)
     nu_map = dict(nu_leaves)
@@ -483,22 +526,14 @@ def solve_complete_market(
         nu_arr = None
     if nu_arr is None or len(nu_arr) != len(nu_map):
         raise ValueError("anticipation must cover exactly the terminal states")
-    total = sum(nu_map.values())
-    if abs(float(total) - 1.0) > 1e-9:
+    total = float(nu_arr.sum())
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError("anticipation weights must sum to 1")
-    if any(w <= 0 for w in nu_map.values()):
+    if np.any(nu_arr <= 0):
         raise DomainError("anticipation must be strictly positive")
-
-    z = rn_arr / nu_arr
+    nu_arr /= total  # the closed form takes nu as a probability
     n, rho, v = market.n_periods, market.rho, market.v
-    disc = rho ** (-n)
-
-    def budget(lam: float) -> float:
-        return float(np.dot(rn_arr, disc * utility.inverse_marginal(lam * disc * z))) - v
-
-    lam = decreasing_root(budget, 1e-14)
-
-    terminal = np.asarray(utility.inverse_marginal(lam * disc * z), dtype=float)
+    lam, terminal, stat = _closed_form(utility, rn_arr, rn_arr / nu_arr, rho, n, v)
     wealth, deltas = {n: terminal}, {}
     for depth in range(n - 1, -1, -1):
         cols = market.replication_assets(depth)
@@ -509,8 +544,6 @@ def solve_complete_market(
     _budget_residual(wealth[0].item(0), v)
 
     u = float(np.dot(nu_arr, utility.evaluate(terminal)))
-    riskfree_u = float(utility.evaluate(v * rho**n))
-    prop = None if u == 0.0 else 1.0 - riskfree_u / u
     return GeneralSolution(
         market=market,
         utility=utility,
@@ -518,7 +551,5 @@ def solve_complete_market(
         terminal_wealth=LevelView({n: terminal}, market.m_states),
         wealth=LevelView(wealth, market.m_states),
         deltas=LevelView(deltas, market.m_states),
-        value=u,
-        extra_value=u - riskfree_u,
-        proportion=prop,
+        **asdict(_triple(utility, u, float(utility.evaluate(v * rho**n)), stat)),
     )

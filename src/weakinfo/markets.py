@@ -350,9 +350,6 @@ class BinomialLattice:
     def level_prices(self, n: int) -> list:
         return [self.price(n, i) for i in range(n + 1)]
 
-    def terminal_prices(self) -> list:
-        return self.level_prices(self.n_periods)
-
     @property
     def n_terminal(self) -> int:
         return self.n_periods + 1
@@ -366,11 +363,7 @@ class BinomialLattice:
         return path.count("d")
 
     def path_price(self, path: str):
-        p = self.params
-        out = p.s
-        for step in path:
-            out = out * ((1 + p.h) if step == "u" else (1 - p.k))
-        return out
+        return self.price(len(path), path.count("d"))
 
 
 class TrinomialLattice:
@@ -421,12 +414,7 @@ class TrinomialLattice:
         return path.count("u"), path.count("m")
 
     def path_price(self, path: str):
-        p = self.params
-        mult = {"u": p.a, "m": p.b, "d": p.c}
-        out = p.s
-        for step in path:
-            out = out * mult[step]
-        return out
+        return self.price(len(path), *self.path_terminal(path))
 
 
 @dataclass(frozen=True)

@@ -141,15 +141,10 @@ class BinomialMeasureTree:
             yield "".join(tup)
 
     def martingale_gap(self, params: BinomialParams) -> float:
-        """Worst node-wise error of E[S_{n+1} | node] / (1+r) = S_node."""
-        worst = 0.0
-        for n in range(self.n_periods):
-            for i in range(n + 1):
-                up = self.up[n][i]
-                s_now = params.s * (1 + params.h) ** (n - i) * (1 - params.k) ** i
-                implied = (up * (1 + params.h) + (1 - up) * (1 - params.k)) / params.rho
-                worst = max(worst, abs(float(implied * s_now - s_now) / float(s_now)))
-        return worst
+        """Worst node-wise error of E[S_{n+1} | node] / (1+r) = S_node; S_node cancels."""
+        rise, fall = 1 + params.h, 1 - params.k
+        return max((abs(float((up * rise + (1 - up) * fall) / params.rho - 1))
+                    for level in self.up for up in level), default=0.0)
 
 
 def risk_neutral_binomial(params: BinomialParams) -> BinomialMeasureTree:

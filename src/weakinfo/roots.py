@@ -1,10 +1,10 @@
-"""Root bracketing for the scalar budget equations.
+"""Root bracketing for the scalar budget equation.
 
-The binomial, general-market and trinomial solvers each need the root of
-a strictly decreasing function of a positive multiplier.  They share one
-bounded routine: scan from 1 by factors of 10 until the sign changes,
-then bisect.  It ends in a root or in a `ConvergenceError` that carries
-the brackets it visited.
+The solvers take the budget multiplier in closed form.  This bounded
+routine is the independent reference route, `solve_lambda(method=
+"bracket")` on the binomial lattice, and the test oracles' route: scan
+from 1 by factors of 10 until the sign changes, then bisect.  It ends in
+a root or in a `ConvergenceError` that carries the brackets it visited.
 """
 from __future__ import annotations
 

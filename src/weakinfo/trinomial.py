@@ -21,8 +21,9 @@ Newton with an analytic Jacobian; all sums over the 3^N paths factor
 through per-period tensor contractions, so nothing of size 2^N * 3^N is
 ever materialized.
 
-Newton starts from a scalar multiple of a shape, calibrated on the budget
-under the shape's own mixture measure.  When nu is the product of its
+Newton starts from a scalar multiple of a shape.  The scale solves the
+budget under the shape's own mixture measure alone, a complete market, in
+closed form (`complete._closed_form`).  When nu is the product of its
 per-period marginals (to rtol 1e-9), the shape is the Kronecker product of
 the N one-period optima and the start is the solution: y is then a product
 over periods, so each budget factors into one-period budgets for log and
@@ -45,6 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import AdmissibilityError, ConvergenceError, DomainError
+from .complete import _closed_form
 from .markets import (
     TRINOMIAL_MAX_PERIODS,
     TRINOMIAL_OUTCOMES,
@@ -52,7 +54,6 @@ from .markets import (
     TrinomialParams,
     _exact_dtype,
 )
-from .roots import decreasing_root
 from .utility import Utility
 
 _OUTCOME_INDEX = {"u": 0, "m": 1, "d": 2}
@@ -179,7 +180,7 @@ def coerce_path_anticipation(params: TrinomialParams, nu) -> np.ndarray:
         for path, mass in nu.items():
             arr[path_index(path)] = float(mass)
     else:
-        arr = np.asarray([float(x) for x in nu], dtype=float)
+        arr = np.array(nu, dtype=float)  # a copy: solutions never alias the input
     if arr.shape != (n_paths,):
         raise ValueError("path anticipation must have 3^N entries")
     if abs(arr.sum() - 1.0) > 1e-9:
@@ -334,18 +335,6 @@ def _start_shape(params, utility, nu, n, tol):
     return shape, "product"
 
 
-def _initial_scale(params, utility, nu, w, n, shape) -> float:
-    """Scalar multiple of `shape` calibrated on its mixture measure."""
-    mean = _mixture_over_paths(shape, w, n)
-    disc = params.rho ** (-n)
-    ratio = mean / nu
-
-    def f(mu):
-        return float(np.dot(mean, disc * utility.inverse_marginal(mu * disc * ratio))) - params.v
-
-    return decreasing_root(f, np.finfo(float).eps)
-
-
 def solve_lambda_system(
     params: TrinomialParams,
     utility: Utility,
@@ -373,10 +362,8 @@ def solve_lambda_system(
     disc = 1.0 / rho_n
     v = params.v
 
-    def split(lam):
-        mix = _mixture_over_paths(lam, w, n)
-        y = disc * mix / nu
-        return mix, y
+    def dual_point(lam):  # y = rho^-N sum_j lam_j dP^j/dnu on every path
+        return disc * _mixture_over_paths(lam, w, n) / nu
 
     def residuals(y):
         f = disc * utility.inverse_marginal(y)
@@ -386,9 +373,10 @@ def solve_lambda_system(
         return v * float(lam.sum()) + float(np.dot(nu, utility.conjugate(y)))
 
     shape, start = _start_shape(params, utility, nu, n, tol)
-    lam = _initial_scale(params, utility, nu, w, n, shape) * shape
-    _, y = split(lam)
-    if np.any(y <= 0):
+    mean = _mixture_over_paths(shape, w, n)
+    lam = _closed_form(utility, mean, mean / nu, float(params.rho), n, float(v))[0] * shape
+    y = dual_point(lam)
+    if not np.all(y > 0):
         raise ConvergenceError("initial multiplier scale left the dual domain")
     res = residuals(y)
     g_val = dual(lam, y)
@@ -422,7 +410,7 @@ def solve_lambda_system(
         res_norm = float(np.linalg.norm(res))
         for _ in range(80):
             cand = lam + t * step
-            _, y_cand = split(cand)
+            y_cand = dual_point(cand)
             if np.all(y_cand > 0):
                 g_cand = dual(cand, y_cand)
                 res_cand = residuals(y_cand)

@@ -335,6 +335,23 @@ def test_sweep_requires_grid(tmp_path):
     assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_sweep_tags_a_row_whose_value_overflows(tmp_path):
+    # v^g overflows a double at v=1e-300, gamma=-2.5: that row is rejected
+    # like any other, and the run completes
+    cfg = {
+        "schema_version": 1,
+        "model": BINOMIAL_FLOAT,
+        "utility": {"kind": "power", "gamma": -2.5},
+        "run": {"command": "sweep", "presets": ["uniform"], "v_grid": [100, 1e-300]},
+    }
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    rows = read_csv(out / "curves.csv")
+    assert rows[0]["error"] == "" and rows[0]["value"] != ""
+    assert "v=1e-300" in rows[1]["error"] and rows[1]["value"] == ""
+    assert json.loads((out / "report.json").read_text())["results"]["failed_rows"] == 1
+
+
 def test_sweep_deterministic_across_runs_and_threads(tmp_path):
     cfg = _sweep_cfg({"kind": "log"})
     path = write_config(tmp_path, cfg)
@@ -440,3 +457,27 @@ def test_precision_flag_controls_digits(tmp_path):
     r7 = json.loads((out7 / "report.json").read_text())["results"]["value"]
     r17 = json.loads((out17 / "report.json").read_text())["results"]["value"]
     assert len(repr(r17)) > len(repr(r7))
+
+
+# ---------------------------------------------------------------------------
+# golden outputs of the shipped configs
+# ---------------------------------------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_config_outputs_match_their_goldens(config, tmp_path):
+    # every data file byte for byte, and report.json once its wall-clock
+    # timings are removed, at --precision 7
+    command = json.loads(config.read_text())["run"]["command"]
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out), "--precision", "7"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    report.pop("timings")
+    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    golden = GOLDEN / config.stem
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
+    for path in sorted(golden.iterdir()):
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name

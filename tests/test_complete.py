@@ -100,14 +100,70 @@ def test_bracket_with_unrepresentable_lambda_raises():
     assert exc.history  # the (lo, hi) brackets it went through
 
 
-def test_general_market_with_unrepresentable_lambda_raises():
+def test_unrepresentable_lambda_solves_on_the_closed_route():
+    # lam ~ 1e-954 rounds to 0, but the wealth it buys is v rho^N plus a
+    # v-free spread, so the claim, the hedge and the proportion are ordinary
+    p, utility, nu = _underflow_market(), Utility.exponential(10), (0.25,) * 4
+    sol = solve(p, utility, nu)
+    assert sol.lam == 0.0
+    assert float(sol.wealth[0][0]) == pytest.approx(200.0, rel=1e-12, abs=0)
+    claim = sol.terminal_wealth
+    replay = simulate_strategy(p, sol.deltas)
+    worst = max(abs(x - claim[path.count("d")]) for path, x in replay.items())
+    assert worst <= 1e-9 * np.max(np.abs(claim))
+    # exponential wealth minus v rho^N does not depend on v: compare with
+    # the bracket route at v = 1, where lam is representable
+    at_one = solve(replace(p, v=1.0), utility, nu, method="bracket")
+    rho_n = float(p.rho) ** 3
+    np.testing.assert_allclose(sol.terminal_wealth, at_one.terminal_wealth + 199 * rho_n, rtol=1e-12)
+    rn = terminal_risk_neutral(p)
+    kl = float(np.dot(rn, np.log(rn / 0.25)))
+    assert sol.proportion == pytest.approx(1 - math.exp(kl), abs=1e-12)
+    assert sol.proportion == pytest.approx(-0.142941, abs=1e-6)
+
+
+def test_general_market_with_unrepresentable_lambda_solves():
     p = _underflow_market()
     factors = [[[1 + p.r, 1 + p.h], [1 + p.r, 1 - p.k]]] * p.n_periods
     market = CompleteMarket([1.0, p.s], factors, r=p.r, v=p.v)
-    nu = {leaf: 1 / 8 for leaf in market.leaves()}
-    exc = _raised_within(10, solve_complete_market, market, Utility.exponential(10), nu)
-    assert isinstance(exc, ConvergenceError)
-    assert exc.history
+    # the uniform terminal law spread evenly over the paths to each node
+    nu = {leaf: 0.25 / math.comb(3, sum(leaf)) for leaf in market.leaves()}
+    sol = solve_complete_market(market, Utility.exponential(10), nu)
+    binom = solve(p, Utility.exponential(10), (0.25,) * 4)
+    assert sol.wealth[()] == pytest.approx(200.0, rel=1e-12, abs=0)
+    want = binom.terminal_wealth[[sum(leaf) for leaf in market.leaves()]]
+    np.testing.assert_allclose(np.asarray(sol.terminal_wealth.levels[3]), want, rtol=1e-12)
+    assert sol.proportion == pytest.approx(binom.proportion, abs=1e-12)
+
+
+def test_exponential_proportion_is_one_minus_exp_kl():
+    p, utility, nu = _underflow_market(), Utility.exponential(10), (0.25,) * 4
+    rn = terminal_risk_neutral(p)
+    kl = float(np.dot(rn, np.log(rn / 0.25)))
+    triple = value_of_information(p, utility, nu)
+    assert triple.proportion == pytest.approx(1 - math.exp(kl), abs=1e-12)
+    rows = sweep(p, utility, {"uniform": nu}, [1.0, 200.0])
+    assert [r.proportion for r in rows] == [triple.proportion] * 2
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.01])
+def test_exponential_proportion_matches_the_utility_ratio(fig_market, alpha):
+    # where nothing underflows, 1 - exp(KL) is 1 - riskfree_u / u
+    utility = Utility.exponential(alpha)
+    triple = value_of_information(fig_market, utility, OPTIMIST4)
+    riskfree_u = -math.exp(-fig_market.v * alpha * float(fig_market.rho) ** 3)
+    assert triple.proportion == pytest.approx(1 - riskfree_u / triple.value, abs=1e-12)
+    assert solve(fig_market, utility, OPTIMIST4).proportion == pytest.approx(triple.proportion, abs=1e-12)
+
+
+def test_value_overflow_is_a_domain_error_naming_v():
+    p = BinomialParams(s=20, h=0.09, k=0.019, r=0.032, n_periods=3, v=1e-300)
+    utility = Utility.power(-2.5)
+    with pytest.raises(DomainError, match="v=1e-300"):
+        value_of_information(p, utility, UNIFORM4)
+    rows = sweep(replace(p, v=100.0), utility, {"uniform": UNIFORM4}, [100.0, 1e-300])
+    assert rows[0].error is None and rows[0].proportion is not None
+    assert "v=1e-300" in rows[1].error and rows[1].value is None
 
 
 @pytest.mark.parametrize("value", [1.0, -1.0, math.nan])
@@ -481,7 +537,12 @@ def test_general_market_checks_the_budget(monkeypatch):
     leaves = list(market.leaves())
     nu = {leaf: 1.0 / len(leaves) for leaf in leaves}
     assert solve_complete_market(market, Utility.log(), nu).lam == pytest.approx(1 / 100.0)
-    monkeypatch.setattr(complete, "decreasing_root", lambda f, tol: 2 / 100.0)
+
+    def forced(utility, w, z, rho, n, v):
+        lam = 2 / 100.0
+        return lam, utility.inverse_marginal(lam * rho ** (-n) * z), None
+
+    monkeypatch.setattr(complete, "_closed_form", forced)
     with pytest.raises(ConvergenceError, match="budget equation violated: root wealth 50 vs v=100"):
         solve_complete_market(market, Utility.log(), nu)
 

@@ -106,6 +106,7 @@ def test_solve_matches_per_node_loop(case):
     lam, wealth, deltas = solve_complete_market_loop(market, utility, nu)
     slack = _conditioning_slack(market)
     assert _rel(sol.lam, lam) <= max(1e-12, slack), (sol.lam, lam, slack)
+    assert _rel(sol.wealth[()], market.v) <= 1e-12
     assert list(sol.wealth) == list(wealth)
     assert list(sol.deltas) == list(deltas)
     assert list(sol.terminal_wealth) == list(market.leaves())

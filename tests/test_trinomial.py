@@ -30,6 +30,7 @@ from weakinfo.trinomial import (
     ReplicationError,
     _mode_contract,
     _start_shape,
+    coerce_path_anticipation,
     path_index,
     path_strings,
 )
@@ -364,6 +365,29 @@ def test_path_anticipation_validation(tri_market):
     bad[1] += 1 / 9
     with pytest.raises(Exception):
         solve_lambda_system(tri_market, Utility.log(), bad)
+
+
+def test_path_anticipation_input_forms_agree(tri_market):
+    weights = [F(k, 45) for k in range(1, 10)]
+    forms = [
+        weights,
+        [float(w) for w in weights],
+        np.array(weights, dtype=float),
+        dict(zip(path_strings(2), weights)),
+    ]
+    arrays = [coerce_path_anticipation(tri_market, nu) for nu in forms]
+    for arr in arrays:
+        assert arr.dtype == np.float64
+        assert np.array_equal(arr, arrays[0])
+
+
+def test_solution_does_not_alias_the_anticipation(tri_market):
+    nu = np.array([F(k, 45) for k in range(1, 10)], dtype=float)
+    sol = solve_lambda_system(tri_market, Utility.log(), nu)
+    before = (sol.nu.copy(), sol.lam.copy(), sol.terminal_wealth.copy())
+    nu[:] = 1 / 9
+    assert all(np.array_equal(a, b) for a, b in zip(before, (sol.nu, sol.lam, sol.terminal_wealth)))
+    assert not np.array_equal(sol.nu, nu)
 
 
 def test_newton_converging_on_its_last_allowed_step_returns():
